@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from .engine import WinEngine
 from .errors import NimCashError, ResourceLimit
@@ -40,7 +40,7 @@ from .game import (
     new_move_set,
     parse_funds,
 )
-from .oracle import BOUND_ENV_VAR, DEFAULT_BOUND, CashTable, best_move, solve_cash
+from .oracle import CashTable, _check_solver_bound, _solver_bound, best_move, solve_cash
 from .periodicity import (
     CSTriple,
     SolutionSet,
@@ -48,7 +48,7 @@ from .periodicity import (
     induce_candidate,
     verify_solution_set,
 )
-from .thresholds import Region, build_thresholds, classify, poor_thresholds
+from .thresholds import build_thresholds, classify, critical_cells, poor_thresholds, regime
 
 
 def parse_move_set(text: str) -> MoveSet:
@@ -58,51 +58,27 @@ def parse_move_set(text: str) -> MoveSet:
         raise NimCashError(f"cannot parse move set {text!r}: {exc}") from None
 
 
-@dataclass
-class OutputRecord:
-    """One winner-cube row; fields absent for a position render as null/empty."""
-
-    n: int
-    d: int
-    e: int
-    region: str
-    winner: str
-    winning_moves: tuple[int, ...]
-    cs_residue: int | None = None
-    cs_mover_gap: int | None = None
-    cs_opp_gap: int | None = None
-
-    CSV_HEADER = "n,d,e,region,winner,winning_moves,cs_residue,cs_mover_gap,cs_opp_gap"
-
-    def csv_row(self) -> str:
-        def cell(v) -> str:
-            return "" if v is None else str(v)
-
-        moves = ";".join(str(a) for a in self.winning_moves)
-        return ",".join(
-            [str(self.n), str(self.d), str(self.e), self.region, self.winner,
-             moves, cell(self.cs_residue), cell(self.cs_mover_gap), cell(self.cs_opp_gap)]
-        )
-
-    def json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "e": self.e,
-            "region": self.region,
-            "winner": self.winner,
-            "winning_moves": list(self.winning_moves),
-            "cs_residue": self.cs_residue,
-            "cs_mover_gap": self.cs_mover_gap,
-            "cs_opp_gap": self.cs_opp_gap,
-        }
+THRESHOLD_COLUMNS = ("n", "standard_winner", "rich_i", "rich_ii", "poor_i", "poor_ii")
+CUBE_COLUMNS = (
+    "n", "d", "e", "region", "winner", "winning_moves", "cs_residue", "cs_mover_gap", "cs_opp_gap",
+)
 
 
-def _emit(lines_or_obj, fmt: str, out_path: str | None) -> None:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(str(a) for a in value)
+    return str(value)
+
+
+def _emit_rows(rows: list[tuple], columns: tuple[str, ...], fmt: str, out_path: str | None):
+    """Write rows of column values as a JSON list of objects, or as CSV under a header."""
     if fmt == "json":
-        text = json.dumps(lines_or_obj, indent=2) + "\n"
+        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     else:
-        text = "\n".join(lines_or_obj) + "\n"
+        lines = [",".join(columns)] + [",".join(_csv_cell(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -116,9 +92,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     moves = parse_move_set(args.set)
     d, e = parse_funds(args.d), parse_funds(args.e)
     state = CashState(args.n, d, e)
-    result = solve_cash(moves, state)
-    engine = WinEngine(moves, args.n)
-    decision = engine.decide(args.n, d, e)
+    _check_solver_bound(args.n)  # before the engine builds its tables
+    decision = WinEngine(moves, args.n).decide(args.n, d, e)
+    result = decision.result or solve_cash(moves, state)
     print(f"{result.winner.as_player()} wins ({decision.region.value} regime)")
     if result.winning_moves:
         print(f"winning moves: {', '.join(str(a) for a in result.winning_moves)}")
@@ -139,70 +115,49 @@ def cmd_table(args: argparse.Namespace) -> int:
     moves = parse_move_set(args.set)
     n_hi = args.n_max
     cube_mode = args.d_max is not None or args.e_max is not None
-    limit = int(os.environ.get(BOUND_ENV_VAR, DEFAULT_BOUND))
+    limit = _solver_bound(None)
     if n_hi - 1 > limit:
         raise ResourceLimit(f"n_max={n_hi} exceeds the configured bound {limit}")
-    if cube_mode:
-        d_cells = args.d_max if args.d_max is not None else n_hi
-        e_cells = args.e_max if args.e_max is not None else n_hi
-        if n_hi * max(d_cells, 1) * max(e_cells, 1) > 50_000_000:
-            raise ResourceLimit(
-                f"cube of {n_hi}x{d_cells}x{e_cells} cells is past the export limit"
-            )
-    tables = build_thresholds(moves, max(n_hi - 1, 0))
-
     if not cube_mode:
-        if args.format == "json":
-            rows = []
-            for n in range(n_hi):
-                g = poor_thresholds(moves, n)
-                rows.append(
-                    {
-                        "n": n,
-                        "standard_winner": ("I" if tables.winners[n] else "II"),
-                        "rich_i": int(tables.rich_i[n]),
-                        "rich_ii": int(tables.rich_ii[n]),
-                        "poor_i": g.poor_i,
-                        "poor_ii": g.poor_ii,
-                    }
-                )
-            _emit(rows, "json", args.out)
-        else:
-            lines = ["n,standard_winner,rich_i,rich_ii,poor_i,poor_ii"]
-            for n in range(n_hi):
-                g = poor_thresholds(moves, n)
-                w = "I" if tables.winners[n] else "II"
-                lines.append(
-                    f"{n},{w},{tables.rich_i[n]},{tables.rich_ii[n]},{g.poor_i},{g.poor_ii}"
-                )
-            _emit(lines, "csv", args.out)
+        tables = build_thresholds(moves, max(n_hi - 1, 0))
+        rows = []
+        for n in range(n_hi):
+            fi, fii, standard_wins = tables.cutoffs(n)
+            g = poor_thresholds(moves, n)
+            rows.append((n, "I" if standard_wins else "II", fi, fii, g.poor_i, g.poor_ii))
+        _emit_rows(rows, THRESHOLD_COLUMNS, args.format, args.out)
         return 0
 
     d_hi = args.d_max if args.d_max is not None else n_hi
     e_hi = args.e_max if args.e_max is not None else n_hi
+    if n_hi * max(d_hi, 1) * max(e_hi, 1) > 50_000_000:
+        raise ResourceLimit(f"cube of {n_hi}x{d_hi}x{e_hi} cells is past the export limit")
     engine = WinEngine(moves, max(n_hi - 1, 0))
-    cube = engine.cube()
-    records: list[OutputRecord] = []
+    win = engine.cube().win
+    d = np.arange(d_hi)[:, None]
+    e = np.arange(e_hi)[None, :]
+    rows = []
     for n in range(n_hi):
-        for d in range(d_hi):
-            for e in range(e_hi):
-                region = classify(engine.tables, n, d, e)
-                result = cube.solve(CashState(n, d, e))
-                rec = OutputRecord(
-                    n, d, e, region.value, result.winner.as_player(),
-                    result.winning_moves,
-                )
-                if engine.solution is not None and region is Region.CRITICAL:
-                    decision = engine.decide(n, d, e)
-                    if decision.cs is not None:
-                        rec.cs_residue = decision.cs.residue
-                        rec.cs_mover_gap = decision.cs.mover_gap
-                        rec.cs_opp_gap = decision.cs.opp_gap
-                records.append(rec)
-    if args.format == "json":
-        _emit([r.json_obj() for r in records], "json", args.out)
-    else:
-        _emit([OutputRecord.CSV_HEADER] + [r.csv_row() for r in records], "csv", args.out)
+        fi, fii, _ = cutoffs = engine.tables.cutoffs(n)
+        r = regime(moves, n, cutoffs, d, e)
+        regions, critical = r.region.tolist(), r.critical.tolist()
+        # winning first moves: (n; d, e) -> (n-a; e, d-a) must be lost for the opponent
+        dc, ec = np.minimum(d, n), np.minimum(e, n)
+        by_move = [
+            (a, ((dc >= a) & ~win[n - a, ec, np.maximum(dc - a, 0)]).tolist())
+            for a in moves
+            if a <= n
+        ]
+        for di in range(d_hi):
+            for ei in range(e_hi):
+                winning = [a for a, w in by_move if w[di][ei]]
+                winner = Winner.MOVER if winning else Winner.OPPONENT
+                cs = (None, None, None)
+                if engine.solution is not None and critical[di][ei]:
+                    # critical budgets are below the rich cutoffs, hence below n
+                    cs = (n % engine.solution[0].period, fi - 1 - di, fii - 1 - ei)
+                rows.append((n, di, ei, regions[di][ei].value, winner.as_player(), winning, *cs))
+    _emit_rows(rows, CUBE_COLUMNS, args.format, args.out)
     return 0
 
 
@@ -286,16 +241,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cube = CashTable(moves, n_hi)
         mismatches = 0
         for n in range(n_hi + 1):
-            g = poor_thresholds(moves, n)
-            for d in range(g.poor_i, int(tables.rich_i[n])):
-                for e in range(g.poor_ii, int(tables.rich_ii[n])):
-                    member = candidate.contains(
-                        n % cert.period,
-                        int(tables.rich_i[n]) - 1 - d,
-                        int(tables.rich_ii[n]) - 1 - e,
-                    )
-                    if member != cube.mover_wins(n, d, e):
-                        mismatches += 1
+            d, e, mover_gap, opp_gap = critical_cells(tables, n)
+            member = candidate.contains(n % cert.period, mover_gap, opp_gap)
+            mismatches += int(np.count_nonzero(member != cube.win[n, d, e]))
         print(f"oracle agreement on critical states n <= {n_hi}: {mismatches} mismatches")
         oracle_ok = mismatches == 0
     passed = report.passed and oracle_ok

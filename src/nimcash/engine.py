@@ -15,31 +15,25 @@ import numpy as np
 
 from .families import family_solution, recognize_family
 from .game import CashState, Funds, MoveSet, Winner
-from .oracle import CashTable, solve_cash
+from .oracle import CashTable, SolveResult, solve_cash
 from .periodicity import (
     CSTriple,
     PeriodCertificate,
     SolutionSet,
     corresponding_state,
-    critical_winner,
 )
-from .thresholds import (
-    Region,
-    ThresholdTables,
-    build_thresholds,
-    classify,
-    poor_thresholds,
-    poor_winner,
-    rich_winner,
-)
+from .thresholds import Region, ThresholdTables, build_thresholds, regime
 
 
 @dataclass(frozen=True)
 class Decision:
+    """How a position was decided; ``result`` is the solver's answer for "oracle"."""
+
     winner: Winner
     region: Region
     method: str  # "rich" | "poor" | "critical" | "oracle"
     cs: CSTriple | None = None
+    result: SolveResult | None = None
 
 
 class WinEngine:
@@ -50,12 +44,11 @@ class WinEngine:
         moves: MoveSet,
         n_max: int,
         solution: tuple[PeriodCertificate, SolutionSet] | None = None,
-        use_family: bool = True,
     ) -> None:
         self.moves = moves
         self.n_max = n_max
         self.tables: ThresholdTables = build_thresholds(moves, n_max)
-        if solution is None and use_family:
+        if solution is None:
             kind = recognize_family(moves)
             if kind is not None:
                 sol = family_solution(kind)
@@ -70,53 +63,41 @@ class WinEngine:
         return self._cube
 
     def decide(self, n: int, d: Funds, e: Funds) -> Decision:
-        region = classify(self.tables, n, d, e)
-        if region in (Region.RICH_I, Region.RICH_II, Region.RICH_BOTH):
-            return Decision(rich_winner(self.tables, n, d, e), region, "rich")
-        if region in (Region.POOR_I, Region.POOR_II, Region.POOR_BOTH):
-            return Decision(poor_winner(self.moves, n, d, e), region, "poor")
+        r = regime(self.moves, n, self.tables.cutoffs(n), d, e)
+        if not r.critical:
+            winner = Winner.MOVER if r.mover_wins else Winner.OPPONENT
+            return Decision(winner, r.region, "rich" if r.region.rich else "poor")
         if self.solution is not None:
             cert, candidate = self.solution
-            winner = critical_winner(cert, candidate, self.tables, n, d, e)
             cs = corresponding_state(cert, self.tables, n, d, e)
-            return Decision(winner, region, "critical", cs)
+            winner = Winner.MOVER if cs in candidate else Winner.OPPONENT
+            return Decision(winner, r.region, "critical", cs)
         result = solve_cash(self.moves, CashState(n, d, e))
-        return Decision(result.winner, region, "oracle")
+        return Decision(result.winner, r.region, "oracle", result=result)
 
     def sweep(self, n_hi: int, d_hi: int, e_hi: int) -> np.ndarray:
         """Pipeline winners for the whole box; True where the mover wins.
 
-        Regimes are evaluated vectorized per layer; only the critical cells
-        are visited individually (solution set if present, oracle cube if
-        not).  Output is indexed by the raw, unclamped budgets.
+        Each layer takes one regime call; its critical cells take one
+        solution-set call with array gaps, or are read off the oracle cube.
+        Output is indexed by the raw, unclamped budgets.
         """
         self.tables.check_range(n_hi)
         out = np.zeros((n_hi + 1, d_hi + 1, e_hi + 1), dtype=bool)
-        a1 = self.moves.a_min
+        d = np.arange(d_hi + 1)[:, None]
+        e = np.arange(e_hi + 1)[None, :]
         for n in range(n_hi + 1):
-            dc = np.minimum(np.arange(d_hi + 1), n)[:, None]
-            ec = np.minimum(np.arange(e_hi + 1), n)[None, :]
-            fi, fii = int(self.tables.rich_i[n]), int(self.tables.rich_ii[n])
-            g = poor_thresholds(self.moves, n)
-            rich_d, rich_e = dc >= fi, ec >= fii
-            poor_d, poor_e = dc < g.poor_i, ec < g.poor_ii
-            layer = np.zeros((d_hi + 1, e_hi + 1), dtype=bool)
-            layer |= rich_d & ~rich_e
-            layer |= rich_d & rich_e & bool(self.tables.winners[n])
-            neither_rich = ~rich_d & ~rich_e
-            layer |= neither_rich & ~poor_d & poor_e
-            layer |= neither_rich & poor_d & poor_e & ((dc // a1) > (ec // a1))
-            critical = neither_rich & ~poor_d & ~poor_e
-            if critical.any():
-                if self.solution is not None:
-                    cert, candidate = self.solution
-                    m = cert.period
-                    for di, ei in np.argwhere(critical):
-                        cs = CSTriple(n % m, fi - 1 - int(dc[di, 0]), fii - 1 - int(ec[0, ei]))
-                        layer[di, ei] = cs in candidate
-                else:
-                    cube = self.cube()
-                    for di, ei in np.argwhere(critical):
-                        layer[di, ei] = cube.mover_wins(n, int(dc[di, 0]), int(ec[0, ei]))
-            out[n] = layer
+            cutoffs = self.tables.cutoffs(n)
+            r = regime(self.moves, n, cutoffs, d, e)
+            out[n] = r.mover_wins
+            di, ei = np.nonzero(r.critical)
+            if not di.size:
+                continue
+            # critical budgets are below the rich cutoffs, hence below n: unclamped
+            if self.solution is not None:
+                cert, candidate = self.solution
+                fi, fii, _ = cutoffs
+                out[n, di, ei] = candidate.contains(n % cert.period, fi - 1 - di, fii - 1 - ei)
+            else:
+                out[n, di, ei] = self.cube().win[n, di, ei]
         return out

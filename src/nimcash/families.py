@@ -24,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BadParams
-from .game import Funds, MoveSet, Winner, clamp_funds, new_move_set
+from .game import Funds, MoveSet, Winner, new_move_set
 from .oracle import CashTable
 from .periodicity import CSTriple, PeriodCertificate, SolutionSet
-from .thresholds import build_thresholds, poor_thresholds
+from .thresholds import build_thresholds, critical_cells, regime
 
 ONE_L = "1,L (L even)"
 ONE_L_L1_ODD = "1,L,L+1 (L odd)"
@@ -78,8 +80,9 @@ class FamilySolution:
     """All closed forms for one family instance.
 
     ``winner_need(n)`` is the budget the standard-game winner needs to win
-    rich; ``loser_need(n)`` the loser's completed cutoff.  ``rich_pair``
-    orients them into (Player I cutoff, Player II cutoff).
+    rich; ``loser_need(n)`` the loser's completed cutoff.  ``cutoffs``
+    orients them into (Player I cutoff, Player II cutoff) and adds the
+    standard-game outcome: the family's cutoff source, valid for every n.
     """
 
     kind: FamilyKind
@@ -99,10 +102,14 @@ class FamilySolution:
     def loser_need(self, n: int) -> int:
         return _loser_need(self.kind, n)
 
-    def rich_pair(self, n: int) -> tuple[int, int]:
+    def cutoffs(self, n: int) -> tuple[int, int, bool]:
+        """``(rich_i, rich_ii, standard mover wins)`` from the closed forms."""
         if self.standard_winner(n) is Winner.MOVER:
-            return self.winner_need(n), self.loser_need(n)
-        return self.loser_need(n), self.winner_need(n)
+            return self.winner_need(n), self.loser_need(n), True
+        return self.loser_need(n), self.winner_need(n), False
+
+    def rich_pair(self, n: int) -> tuple[int, int]:
+        return self.cutoffs(n)[:2]
 
     def certificate(self) -> PeriodCertificate:
         """The family's period data in certificate form.
@@ -300,24 +307,15 @@ def family_win(kind: FamilyKind, n: int, d: Funds, e: Funds) -> Winner:
     if n < 0:
         raise BadParams(f"n must be >= 0, got {n}")
     sol = family_solution(kind)
-    dc, ec = clamp_funds(d, n), clamp_funds(e, n)
-    fi, fii = sol.rich_pair(n)
-    if dc >= fi and ec >= fii:
-        return sol.standard_winner(n)
-    if dc >= fi:
-        return Winner.MOVER
-    if ec >= fii:
-        return Winner.OPPONENT
-    g = poor_thresholds(kind.moves, n)
-    a1 = kind.moves.a_min
-    if dc >= g.poor_i and ec < g.poor_ii:
-        return Winner.MOVER
-    if dc < g.poor_i and ec >= g.poor_ii:
-        return Winner.OPPONENT
-    if dc < g.poor_i and ec < g.poor_ii:
-        return Winner.MOVER if dc // a1 > ec // a1 else Winner.OPPONENT
-    cs = CSTriple(n % kind.modulus, fi - 1 - dc, fii - 1 - ec)
-    return Winner.MOVER if cs in sol.solution_set else Winner.OPPONENT
+    cutoffs = sol.cutoffs(n)
+    r = regime(kind.moves, n, cutoffs, d, e)
+    if r.critical:
+        # critical budgets are ints below the rich cutoffs, which never exceed n
+        fi, fii, _ = cutoffs
+        wins = sol.solution_set.contains(n % kind.modulus, fi - 1 - d, fii - 1 - e)
+    else:
+        wins = r.mover_wins
+    return Winner.MOVER if wins else Winner.OPPONENT
 
 
 # --------------------------------------------------------------------------
@@ -423,16 +421,14 @@ def conjecture_check(
     checked = 0
     bad: list[XCounterexample] = []
     for n in range(critical_n_max + 1):
-        g = poor_thresholds(moves, n)
-        fi, fii = int(tables.rich_i[n]), int(tables.rich_ii[n])
-        for dd in range(g.poor_i, fi):
-            for ee in range(g.poor_ii, fii):
-                checked += 1
-                cs = CSTriple(n % period, fi - dd - 1, fii - ee - 1)
-                member = interval_cs_member(L, M, cs.residue, cs.mover_gap, cs.opp_gap)
-                winner = table.winner(n, dd, ee)
-                if member != (winner is Winner.MOVER):
-                    bad.append(XCounterexample(n, dd, ee, cs, winner, member))
+        d, e, mover_gap, opp_gap = critical_cells(tables, n)
+        checked += d.size
+        wins = table.win[n, d, e]
+        member = interval_cs_member(L, M, n % period, mover_gap, opp_gap)
+        for k in np.flatnonzero(member != wins).tolist():
+            cs = CSTriple(n % period, int(mover_gap[k]), int(opp_gap[k]))
+            winner = Winner.MOVER if wins[k] else Winner.OPPONENT
+            bad.append(XCounterexample(n, int(d[k]), int(e[k]), cs, winner, bool(member[k])))
     return ConjectureReport(
         L, M, n_max, critical_n_max, theta, bound, bound_holds, special,
         checked, tuple(bad),

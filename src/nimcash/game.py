@@ -9,6 +9,7 @@ opponent has ``e``.  Applying a move swaps the roles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,13 +85,10 @@ class MoveSet:
     def __post_init__(self) -> None:
         if not self.values:
             raise EmptySet("move set must be nonempty")
-        for v in self.values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise NonPositiveValue(f"move amounts must be integers >= 1, got {v!r}")
-        if len(set(self.values)) != len(self.values):
-            raise DuplicateValue(f"duplicate move amounts in {self.values}")
-        if tuple(sorted(self.values)) != self.values:
-            object.__setattr__(self, "values", tuple(sorted(self.values)))
+        values = tuple(_amount(v) for v in self.values)
+        if len(set(values)) != len(values):
+            raise DuplicateValue(f"duplicate move amounts in {values}")
+        object.__setattr__(self, "values", tuple(sorted(values)))
 
     @property
     def a_min(self) -> int:
@@ -111,6 +109,17 @@ class MoveSet:
         return "{" + ",".join(str(v) for v in self.values) + "}"
 
 
+def _amount(value) -> int:
+    """A move amount as a plain int; numpy integers pass, bools and floats do not."""
+    try:
+        amount = operator.index(value)
+    except TypeError:
+        amount = 0
+    if isinstance(value, bool) or amount < 1:
+        raise NonPositiveValue(f"move amounts must be integers >= 1, got {value!r}")
+    return amount
+
+
 def new_move_set(values) -> MoveSet:
     """Build a normalized move set, rejecting empty/invalid/duplicate input."""
     return MoveSet(tuple(values))
@@ -125,11 +134,11 @@ class CashState:
     e: Funds
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise NonPositiveValue(f"stone count must be >= 0, got {self.n}")
+        if isinstance(self.n, bool) or self.n < 0:
+            raise NonPositiveValue(f"stone count must be >= 0, got {self.n!r}")
         for f in (self.d, self.e):
-            if isinstance(f, int) and f < 0:
-                raise NonPositiveValue(f"budgets must be >= 0, got {f}")
+            if isinstance(f, bool) or (isinstance(f, int) and f < 0):
+                raise NonPositiveValue(f"budgets must be >= 0, got {f!r}")
 
     def clamped(self) -> tuple[int, int, int]:
         """The equivalent all-finite state with budgets capped at ``n``."""

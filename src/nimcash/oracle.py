@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, ResourceLimit
+from .errors import BadParams, OutOfRange, ResourceLimit
 from .game import UNLIMITED, CashState, Funds, MoveSet, Winner, clamp_funds
 
 #: Environment variable overriding the default single-query solver bound.
@@ -30,9 +30,20 @@ DEFAULT_BOUND = 2048
 
 
 def _solver_bound(bound: int | None) -> int:
+    """``bound``, else ``NIMCASH_MAX_N``, else the default; the one reader of the variable."""
     if bound is not None:
         return bound
-    return int(os.environ.get(BOUND_ENV_VAR, DEFAULT_BOUND))
+    text = os.environ.get(BOUND_ENV_VAR, str(DEFAULT_BOUND))
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams(f"{BOUND_ENV_VAR} must be an integer, got {text!r}") from None
+
+
+def _check_solver_bound(n: int, bound: int | None = None) -> None:
+    limit = _solver_bound(bound)
+    if n > limit:
+        raise ResourceLimit(f"n={n} exceeds solver bound {limit}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +159,7 @@ def solve_cash(moves: MoveSet, state: CashState, bound: int | None = None) -> So
     bound (default 2048, overridable via ``NIMCASH_MAX_N`` or ``bound``).
     """
     n, d, e = state.clamped()
-    limit = _solver_bound(bound)
-    if n > limit:
-        raise ResourceLimit(f"n={n} exceeds solver bound {limit}")
+    _check_solver_bound(n, bound)
 
     # mover_win[s][x] / opp_win[s][x]: does the side to move win with s stones
     # left, given the root's mover has spent x so far (opponent spent n-s-x)?

@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import BadParams, OutOfRange, WrongRegion
 from .game import Funds, MoveSet, Winner, clamp_funds
 from .oracle import CashTable
-from .thresholds import Region, ThresholdTables, classify, poor_thresholds
+from .thresholds import Region, ThresholdTables, classify, critical_cells
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ class PeriodCertificate:
     moves: MoveSet
     period: int
     winner_pattern: tuple[Winner, ...]
-    cost_i: dict[tuple[int, int], int]
-    cost_ii: dict[tuple[int, int], int]
+    # left out of the hash (dicts are unhashable); equality still compares them
+    cost_i: dict[tuple[int, int], int] = field(hash=False)
+    cost_ii: dict[tuple[int, int], int] = field(hash=False)
     verified_up_to: int
 
     def pattern_winner(self, residue: int) -> Winner:
@@ -60,7 +61,13 @@ class PeriodCertificate:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Total membership predicate over corresponding states with both gaps >= 0."""
+    """Total membership predicate over corresponding states with both gaps >= 0.
+
+    ``contains(i, b, b2)`` takes a scalar residue and gaps that are ints or
+    integer arrays; for arrays it returns a bool array, or a bool that
+    broadcasts, over the gaps' broadcast shape.  ``WinEngine.sweep`` passes
+    a whole layer's gaps at once; ``verify_solution_set`` passes ints only.
+    """
 
     contains: Callable[[int, int, int], bool]
     description: str
@@ -128,14 +135,10 @@ def corresponding_state(
     preserving but would break the step identity, since a budget may exceed
     the stone count mid-line.  An unlimited budget stands in as ``n``.
     """
-    tables.check_range(n)
+    fi, fii, _ = tables.cutoffs(n)
     dc = d if isinstance(d, int) else clamp_funds(d, n)
     ec = e if isinstance(e, int) else clamp_funds(e, n)
-    return CSTriple(
-        n % cert.period,
-        int(tables.rich_i[n]) - 1 - dc,
-        int(tables.rich_ii[n]) - 1 - ec,
-    )
+    return CSTriple(n % cert.period, fi - 1 - dc, fii - 1 - ec)
 
 
 def detect_cash_period(
@@ -221,44 +224,24 @@ def verify_solution_set(
                 report.checked += 1
                 if candidate.contains(i, b, b2):
                     succ = step_cs(cert, triple, a1)
-                    if not _member_move_ok(cert, candidate, succ):
-                        report.violations.append(
-                            Violation(triple, "member", a1, succ)
-                        )
+                    if _successor_mover_wins(cert, candidate, succ):
+                        report.violations.append(Violation(triple, "member", a1, succ))
                 else:
                     for a in moves:
                         succ = step_cs(cert, triple, a)
-                        if not _nonmember_move_ok(cert, candidate, succ):
-                            report.violations.append(
-                                Violation(triple, "non-member", a, succ)
-                            )
+                        if not _successor_mover_wins(cert, candidate, succ):
+                            report.violations.append(Violation(triple, "non-member", a, succ))
     return report
 
 
-def _member_move_ok(
-    cert: PeriodCertificate, x: SolutionSet, succ: CSTriple
-) -> bool:
-    mg, og = succ.mover_gap, succ.opp_gap
-    if mg >= 0 and og >= 0:
-        return not x.contains(succ.residue, mg, og)
-    if mg >= 0 and og < 0:
-        return True
-    if mg < 0 and og < 0:
-        return cert.pattern_winner(succ.residue) is Winner.OPPONENT
-    return False
-
-
-def _nonmember_move_ok(
-    cert: PeriodCertificate, x: SolutionSet, succ: CSTriple
-) -> bool:
+def _successor_mover_wins(cert: PeriodCertificate, x: SolutionSet, succ: CSTriple) -> bool:
+    """Who wins a successor, read off its gaps; a negative gap means that side is rich."""
     mg, og = succ.mover_gap, succ.opp_gap
     if mg >= 0 and og >= 0:
         return x.contains(succ.residue, mg, og)
-    if mg < 0 and og >= 0:
-        return True
     if mg < 0 and og < 0:
         return cert.pattern_winner(succ.residue) is Winner.MOVER
-    return False
+    return mg < 0
 
 
 def induce_candidate(
@@ -278,17 +261,17 @@ def induce_candidate(
     tables.check_range(n_max)
     if table is None:
         table = CashTable(moves, n_max)
+    elif n_max > min(table.n_max, table.cap):
+        raise OutOfRange(f"table does not cover n, d, e <= {n_max}")
     out: dict[CSTriple, Winner] = {}
     consistent = True
     for n in range(n_max + 1):
-        g = poor_thresholds(moves, n)
-        fi, fii = int(tables.rich_i[n]), int(tables.rich_ii[n])
-        for d in range(g.poor_i, fi):
-            for e in range(g.poor_ii, fii):
-                cs = corresponding_state(cert, tables, n, d, e)
-                w = table.winner(n, d, e)
-                if out.setdefault(cs, w) is not w:
-                    consistent = False
+        d, e, mover_gap, opp_gap = critical_cells(tables, n)
+        wins = table.win[n, d, e]
+        for x, y, win in zip(mover_gap.tolist(), opp_gap.tolist(), wins.tolist()):
+            w = Winner.MOVER if win else Winner.OPPONENT
+            if out.setdefault(CSTriple(n % cert.period, x, y), w) is not w:
+                consistent = False
     return out, consistent
 
 

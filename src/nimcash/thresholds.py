@@ -12,12 +12,17 @@ For each stone count ``n`` there are two pairs of cutoffs:
 
 Positions where neither rule applies (each player between their cutoffs) are
 *critical*; those are handled by the periodicity machinery.
+
+:func:`regime` is the one place that compares budgets with the cutoffs.  The
+rich cutoffs come from ``cutoffs(n)`` of :class:`ThresholdTables` (the
+recursion, up to ``n_max``) or of a solved family (closed forms, any ``n``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +51,11 @@ class ThresholdTables:
         if n < 0 or n > self.n_max:
             raise OutOfRange(f"n={n} outside table range 0..{self.n_max}")
 
+    def cutoffs(self, n: int) -> tuple[int, int, bool]:
+        """``(rich_i, rich_ii, standard mover wins)`` at ``n``; OutOfRange past the table."""
+        self.check_range(n)
+        return int(self.rich_i[n]), int(self.rich_ii[n]), bool(self.winners[n])
+
 
 @dataclass(frozen=True)
 class PoorThresholds:
@@ -63,6 +73,40 @@ class Region(Enum):
     POOR_II = "poor-II"
     POOR_BOTH = "poor-both"
     CRITICAL = "critical"
+
+    @property
+    def rich(self) -> bool:
+        return self in (Region.RICH_I, Region.RICH_II, Region.RICH_BOTH)
+
+
+# Region of each regime code 4*rich_d + 8*rich_e + poor_d + 2*poor_e: once a
+# player is rich, nobody's poverty matters.
+_REGION_BY_CODE = np.array(
+    [Region.CRITICAL, Region.POOR_II, Region.POOR_I, Region.POOR_BOTH]
+    + [Region.RICH_I] * 4 + [Region.RICH_II] * 4 + [Region.RICH_BOTH] * 4,
+    dtype=object,
+)
+
+
+class Regime(NamedTuple):
+    """What the cutoffs say about one position, or about a grid of positions.
+
+    ``code`` and ``mover_wins`` are scalars for scalar budgets, and arrays of
+    the budgets' broadcast shape for array budgets; ``region`` is then an
+    object array of :class:`Region` members.  ``mover_wins`` is False on
+    critical cells, which the cutoffs leave open.
+    """
+
+    code: int | np.ndarray
+    mover_wins: bool | np.ndarray
+
+    @property
+    def region(self) -> Region | np.ndarray:
+        return _REGION_BY_CODE[self.code]
+
+    @property
+    def critical(self) -> bool | np.ndarray:
+        return self.code == 0
 
 
 def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
@@ -112,6 +156,33 @@ def poor_thresholds(moves: MoveSet, n: int) -> PoorThresholds:
     return PoorThresholds(half + min(i + 1, a1), half + max(0, i - a1 + 1))
 
 
+def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regime:
+    """Decide what the cutoffs decide: rich first, then poor, the rest critical.
+
+    ``cutoffs`` is ``(rich_i, rich_ii, standard mover wins)`` for ``n``, from a
+    cutoff source.  Budgets are ints of any size, :data:`UNLIMITED`, or
+    integer arrays; they are clamped to ``n`` first.  A rich player wins
+    against a non-rich one and the standard game decides between two rich
+    players.  A poor player loses against a non-poor one, and between two
+    poor players whoever can afford strictly more minimum moves wins; the
+    mover loses ties.
+    """
+    fi, fii, standard_wins = cutoffs
+    dc = np.minimum(d, n) if isinstance(d, np.ndarray) else clamp_funds(d, n)
+    ec = np.minimum(e, n) if isinstance(e, np.ndarray) else clamp_funds(e, n)
+    g = poor_thresholds(moves, n)
+    rich_d, rich_e = dc >= fi, ec >= fii
+    poor_d, poor_e = dc < g.poor_i, ec < g.poor_ii
+    # complements are spelled as comparisons: ``~`` on a Python bool gives an int
+    nobody_rich = (dc < fi) & (ec < fii)
+    a1 = moves.a_min
+    mover_wins = (rich_d & ((ec < fii) | standard_wins)) | (
+        nobody_rich & poor_e & ((dc >= g.poor_i) | (dc // a1 > ec // a1))
+    )
+    code = 4 * rich_d + 8 * rich_e + poor_d + 2 * poor_e
+    return Regime(code, mover_wins)
+
+
 def classify(tables: ThresholdTables, n: int, d: Funds, e: Funds) -> Region:
     """Assign a position to its regime; rich checks take precedence.
 
@@ -119,50 +190,37 @@ def classify(tables: ThresholdTables, n: int, d: Funds, e: Funds) -> Region:
     neither is poor the position is critical: each budget sits in the gap
     between its poor and rich cutoffs.
     """
-    tables.check_range(n)
-    dc, ec = clamp_funds(d, n), clamp_funds(e, n)
-    fi, fii = int(tables.rich_i[n]), int(tables.rich_ii[n])
-    if dc >= fi and ec >= fii:
-        return Region.RICH_BOTH
-    if dc >= fi:
-        return Region.RICH_I
-    if ec >= fii:
-        return Region.RICH_II
-    g = poor_thresholds(tables.moves, n)
-    if dc >= g.poor_i and ec < g.poor_ii:
-        return Region.POOR_I
-    if dc < g.poor_i and ec >= g.poor_ii:
-        return Region.POOR_II
-    if dc < g.poor_i and ec < g.poor_ii:
-        return Region.POOR_BOTH
-    return Region.CRITICAL
+    return regime(tables.moves, n, tables.cutoffs(n), d, e).region
 
 
 def rich_winner(tables: ThresholdTables, n: int, d: Funds, e: Funds) -> Winner:
     """Winner when at least one player is rich; raises WrongRegion otherwise."""
-    region = classify(tables, n, d, e)
-    if region is Region.RICH_I:
-        return Winner.MOVER
-    if region is Region.RICH_II:
-        return Winner.OPPONENT
-    if region is Region.RICH_BOTH:
-        return Winner.MOVER if tables.winners[n] else Winner.OPPONENT
-    raise WrongRegion(f"({n};{d},{e}) is {region.value}, not a rich position")
+    r = regime(tables.moves, n, tables.cutoffs(n), d, e)
+    if not r.region.rich:
+        raise WrongRegion(f"({n};{d},{e}) is {r.region.value}, not a rich position")
+    return Winner.MOVER if r.mover_wins else Winner.OPPONENT
 
 
 def poor_winner(moves: MoveSet, n: int, d: Funds, e: Funds) -> Winner:
     """Winner when at least one player is poor; raises WrongRegion otherwise.
 
-    With both players poor, whoever can afford strictly more minimum moves
-    wins; the mover loses ties.
+    Rich cutoffs play no part here: they are set above every clamped budget.
     """
-    dc, ec = clamp_funds(d, n), clamp_funds(e, n)
-    g = poor_thresholds(moves, n)
-    a1 = moves.a_min
-    if dc >= g.poor_i and ec < g.poor_ii:
-        return Winner.MOVER
-    if dc < g.poor_i and ec >= g.poor_ii:
-        return Winner.OPPONENT
-    if dc < g.poor_i and ec < g.poor_ii:
-        return Winner.MOVER if dc // a1 > ec // a1 else Winner.OPPONENT
-    raise WrongRegion(f"({n};{d},{e}) has no poor player")
+    r = regime(moves, n, (n + 1, n + 1, False), d, e)
+    if r.critical:
+        raise WrongRegion(f"({n};{d},{e}) has no poor player")
+    return Winner.MOVER if r.mover_wins else Winner.OPPONENT
+
+
+def critical_cells(tables: ThresholdTables, n: int) -> tuple[np.ndarray, ...]:
+    """Budgets ``d``, ``e`` and gaps of the critical positions with ``n`` stones.
+
+    Four int arrays in ``(d, e)`` order; the gaps are ``rich_i - 1 - d`` and
+    ``rich_ii - 1 - e``.  Critical budgets lie below the rich cutoffs, which
+    never exceed ``n``, so the grid searched stops there.
+    """
+    cutoffs = tables.cutoffs(n)
+    fi, fii, _ = cutoffs
+    grid = regime(tables.moves, n, cutoffs, np.arange(fi)[:, None], np.arange(fii)[None, :])
+    d, e = np.nonzero(grid.critical)
+    return d, e, fi - 1 - d, fii - 1 - e

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from nimcash.cli import main
 
@@ -55,6 +58,33 @@ class TestSolve:
         assert code == 2
         assert "exceeds solver bound" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "-A", "1,4", "-n", "5", "-d", "3", "-e", "3"),
+        ("table", "-A", "1,4", "--n-max", "5"),
+    ])
+    def test_malformed_solver_bound_is_bad_input(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("NIMCASH_MAX_N", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "NIMCASH_MAX_N" in err
+
+    def test_oracle_runs_once_on_a_critical_cell(self, capsys, monkeypatch):
+        import nimcash.cli as cli_mod
+        import nimcash.engine as engine_mod
+
+        calls = []
+        for mod in (cli_mod, engine_mod):
+            real = mod.solve_cash
+            monkeypatch.setattr(
+                mod, "solve_cash", lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+            )
+        code, out, _ = run_cli(
+            capsys, "solve", "-A", "3,5,6,10,11", "-n", "20", "-d", "12", "-e", "9", "--explain"
+        )
+        assert code == 0 and "decided by: oracle" in out
+        assert "Player I wins (critical regime)" in out
+        assert len(calls) == 1
+
 
 class TestTable:
     def test_threshold_rows_include_known_cutoff(self, capsys):
@@ -99,6 +129,23 @@ class TestTable:
         assert rec["cs_mover_gap"] == 1 and rec["cs_opp_gap"] == 0
         rich = by_key[(13, 12, 2)]
         assert rich["region"] == "rich-I" and rich["cs_residue"] is None
+
+    # sha256 of the 12^3 cube exports, pinned from the per-cell implementation
+    CUBE_DIGESTS = {
+        ("1,4,5", "csv"): "19d54a0971cb97e241fe1947a05b1932e45f3170a19f8b1ba56c4d83210bbcf6",
+        ("1,4,5", "json"): "184a36e8162386e368e89921323607272dcdbec4e53529c6ddea9da309bf349d",
+        ("3,5,6,10,11", "csv"): "be940629eb66821ba3f0f84aed307630319a600c39ef1f3721dbb0e3fa91c707",
+        ("3,5,6,10,11", "json"): "6a3bce2f45e59713adbbe499872769a7daf46f3a5a8d458e970c3796890682d2",
+    }
+
+    @pytest.mark.parametrize("values,fmt", sorted(CUBE_DIGESTS))
+    def test_cube_export_is_byte_identical(self, capsys, values, fmt):
+        code, out, _ = run_cli(
+            capsys, "table", "-A", values, "--n-max", "12",
+            "--d-max", "12", "--e-max", "12", "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CUBE_DIGESTS[(values, fmt)]
 
     def test_cube_csv_schema_and_order(self, capsys):
         code, out, _ = run_cli(

@@ -45,11 +45,6 @@ class TestDecide:
         decision = engine.decide(*critical)
         assert decision.method == "oracle"
 
-    def test_family_detection_can_be_disabled(self):
-        engine = WinEngine(new_move_set([1, 4]), 20, use_family=False)
-        assert engine.solution is None
-        assert engine.decide(13, 8, 7).method == "oracle"
-
     def test_unlimited_budgets(self):
         engine = WinEngine(new_move_set([1, 3, 4]), 20)
         decision = engine.decide(14, UNLIMITED, 10)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from nimcash import (
@@ -145,6 +147,24 @@ class TestFamilyWin:
                         d,
                         e,
                     )
+
+    @pytest.mark.parametrize("kind", [one_l(4), one_l_l1(5), one_l_l1(4)])
+    def test_one_ply_fixpoint_past_int64(self, kind):
+        """Past int64: the mover wins iff some affordable move leaves a lost position."""
+        rng = random.Random(11)
+        for k in range(300):
+            n = 10**30 + k
+            fi, fii = family_solution(kind).rich_pair(n)
+            g = poor_thresholds(kind.moves, n)
+            # budgets near a rich or a poor cutoff, so that every region comes up
+            d = rng.choice([fi, g.poor_i]) + rng.randint(-3, 2)
+            e = rng.choice([fii, g.poor_ii]) + rng.randint(-3, 2)
+            escape = any(
+                family_win(kind, n - a, e, d - a) is Winner.OPPONENT
+                for a in kind.moves
+                if a <= d
+            )
+            assert (family_win(kind, n, d, e) is Winner.MOVER) == escape, (n, d, e)
 
     def test_large_positions_are_cheap(self):
         kind = one_l_l1(7)

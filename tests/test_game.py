@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from nimcash import (
@@ -37,7 +38,12 @@ class TestMoveSet:
         with pytest.raises(DuplicateValue):
             new_move_set([3, 3, 5])
 
-    @pytest.mark.parametrize("bad", [[0, 2], [-1, 3], [1, 2.5], [True, 2]])
+    def test_numpy_integers_accepted(self):
+        ms = new_move_set([np.int64(4), np.int32(1), 3])
+        assert ms.values == (1, 3, 4)
+        assert all(type(a) is int for a in ms.values)
+
+    @pytest.mark.parametrize("bad", [[0, 2], [-1, 3], [1, 2.5], [True, 2], [np.int64(0), 2]])
     def test_non_positive_or_non_integer_rejected(self, bad):
         with pytest.raises(NonPositiveValue):
             new_move_set(bad)
@@ -69,6 +75,9 @@ class TestFunds:
             CashState(-1, 3, 3)
         with pytest.raises(NonPositiveValue):
             CashState(3, -1, 3)
+        for flagged in [(True, 1, 1), (3, True, 1), (3, 1, False)]:
+            with pytest.raises(NonPositiveValue):
+                CashState(*flagged)
         assert str(CashState(14, UNLIMITED, 10)) == "(14;UF,10)"
 
 

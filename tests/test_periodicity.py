@@ -79,6 +79,16 @@ class TestDetection:
         assert cert.winner_pattern == sol.certificate().winner_pattern
 
 
+class TestCertificate:
+    def test_equal_certificates_hash_equally(self, tables_cache):
+        kind = one_l(4)
+        from_family = family_solution(kind).certificate()
+        again = family_solution(kind).certificate()
+        assert from_family == again and hash(from_family) == hash(again)
+        detected = detect_cash_period(kind.moves, tables_cache((1, 4), 400), 16, 300)
+        assert len({from_family, again, detected}) == 2
+
+
 class TestCorrespondingState:
     def test_example(self, tables_cache):
         t = tables_cache((1, 4), 40)
