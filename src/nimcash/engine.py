@@ -22,7 +22,7 @@ from .periodicity import (
     SolutionSet,
     corresponding_state,
 )
-from .thresholds import Region, ThresholdTables, build_thresholds, regime
+from .thresholds import CutoffSource, Region, ThresholdTables, build_thresholds, regime
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,12 @@ class Decision:
 
 
 class WinEngine:
-    """Decides positions for one move set up to a fixed stone bound."""
+    """Decides positions for one move set.
+
+    Cutoffs come from ``cutoff_source``: a recognized family's closed forms,
+    valid for every ``n``, or else the recursion tables up to ``n_max``, past
+    which queries raise :class:`OutOfRange`.
+    """
 
     def __init__(
         self,
@@ -48,12 +53,13 @@ class WinEngine:
         self.moves = moves
         self.n_max = n_max
         self.tables: ThresholdTables = build_thresholds(moves, n_max)
-        if solution is None:
-            kind = recognize_family(moves)
-            if kind is not None:
-                sol = family_solution(kind)
-                solution = (sol.certificate(), sol.solution_set)
+        kind = recognize_family(moves)
+        family = None if kind is None else family_solution(kind)
+        if solution is None and family is not None:
+            solution = (family.certificate(), family.solution_set)
         self.solution = solution
+        # a solved family's closed forms cover every n; the tables stop at n_max
+        self.cutoff_source: CutoffSource = self.tables if family is None else family
         self._cube: CashTable | None = None
 
     def cube(self) -> CashTable:
@@ -63,13 +69,13 @@ class WinEngine:
         return self._cube
 
     def decide(self, n: int, d: Funds, e: Funds) -> Decision:
-        r = regime(self.moves, n, self.tables.cutoffs(n), d, e)
+        r = regime(self.moves, n, self.cutoff_source.cutoffs(n), d, e)
         if not r.critical:
             winner = Winner.MOVER if r.mover_wins else Winner.OPPONENT
             return Decision(winner, r.region, "rich" if r.region.rich else "poor")
         if self.solution is not None:
             cert, candidate = self.solution
-            cs = corresponding_state(cert, self.tables, n, d, e)
+            cs = corresponding_state(cert, self.cutoff_source, n, d, e)
             winner = Winner.MOVER if cs in candidate else Winner.OPPONENT
             return Decision(winner, r.region, "critical", cs)
         result = solve_cash(self.moves, CashState(n, d, e))
@@ -82,12 +88,12 @@ class WinEngine:
         solution-set call with array gaps, or are read off the oracle cube.
         Output is indexed by the raw, unclamped budgets.
         """
-        self.tables.check_range(n_hi)
+        self.cutoff_source.cutoffs(n_hi)  # OutOfRange past the tables, before allocating
         out = np.zeros((n_hi + 1, d_hi + 1, e_hi + 1), dtype=bool)
         d = np.arange(d_hi + 1)[:, None]
         e = np.arange(e_hi + 1)[None, :]
         for n in range(n_hi + 1):
-            cutoffs = self.tables.cutoffs(n)
+            cutoffs = self.cutoff_source.cutoffs(n)
             r = regime(self.moves, n, cutoffs, d, e)
             out[n] = r.mover_wins
             di, ei = np.nonzero(r.critical)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, OutOfRange
 from .game import Funds, MoveSet, Winner, new_move_set
 from .oracle import CashTable
 from .periodicity import CSTriple, PeriodCertificate, SolutionSet
@@ -104,6 +104,8 @@ class FamilySolution:
 
     def cutoffs(self, n: int) -> tuple[int, int, bool]:
         """``(rich_i, rich_ii, standard mover wins)`` from the closed forms."""
+        if n < 0:
+            raise OutOfRange(f"n must be >= 0, got {n}")
         if self.standard_winner(n) is Winner.MOVER:
             return self.winner_need(n), self.loser_need(n), True
         return self.loser_need(n), self.winner_need(n), False

@@ -1,14 +1,31 @@
-"""Exact brute-force solvers for the cash game and the plain subtraction game.
+"""Exact solvers for the cash game and the plain subtraction game.
 
-Two routes to the same answer:
+Two representations of the same winner function:
 
-* :class:`CashTable` materializes the full winner cube ``win[n, d, e]`` with
-  numpy, bottom-up in ``n``.  Dense and cache-friendly; the tool of choice for
-  box sweeps, audits, and threshold extraction.
-* :func:`solve_cash` answers a single query without the cube.  Budgets shrink
-  exactly as stones do, so the states reachable from one root form an
-  O(n^2)-sized family indexed by (stones left, side to move, money one side
-  has spent); that keeps even deep positions cheap.
+* :class:`CashTable` materializes the dense winner cube ``win[n, d, e]`` with
+  numpy, bottom-up in ``n``.  It assumes nothing about the shape of a layer,
+  which makes it the independent oracle every fast path is checked against;
+  it is also the tool for box sweeps, audits, and threshold extraction.
+* :func:`solve_cash` reads a memoised *staircase*.  Cash is monotone: more
+  money never hurts the mover, and more money never hurts the opponent.  So
+  the mover's wins in a layer form a staircase, and one int per ``(n, d)``
+  describes it: ``B[n][d]``, the least opponent budget at which the mover
+  loses ``(n; d, .)``, or ``n+1`` if there is none.  A move ``a`` wins when
+  the successor ``(n-a; e, d-a)`` is lost for its mover, i.e. when
+  ``B[n-a][e] <= d-a``; for a fixed ``d`` that holds exactly for the ``e``
+  below ``searchsorted(B[n-a], d-a, 'right')``, so a layer is the max over
+  affordable moves of one ``searchsorted`` each.  One staircase per move set
+  is kept (the last 8 move sets), grown append-only up to the queried ``n``
+  under a lock: O(n^2) small ints, built once, then O(|A|) reads per query.
+
+Why the staircase form holds: by induction on ``n``.  Layers below ``min(A)``
+are all losses.  If the layers below are staircases, the wins via one move
+are a prefix of opponent budgets whose length grows with ``d`` (more money
+affords the same moves and beats more successor thresholds), and a union of
+such prefixes is again one.  The staircase does not check this about itself:
+``tests/test_properties.py::test_cash_monotonicity`` and acceptance row C10
+check both monotonicities on the dense cube, and the tests compare the
+staircase layer by layer with the dense cube and with ``tests/reference.py``.
 
 Budgets are clamped to the stone count on entry everywhere (a budget >= n is
 indistinguishable from an unlimited one).
@@ -17,7 +34,9 @@ indistinguishable from an unlimited one).
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,36 +171,62 @@ def _plies_bound(moves: MoveSet, n: int) -> int:
     return -(-n // moves.a_min)
 
 
+_INT16_MAX = np.iinfo(np.int16).max
+
+
+class _Staircase:
+    """Per-layer thresholds ``B[s][d]`` for one move set, grown on demand.
+
+    ``layers[s][d]`` for ``0 <= d <= s`` is the least opponent budget (at most
+    ``s``) at which the mover loses ``(s; d, .)``, and ``s+1`` if there is
+    none.  Layers are only ever appended, so a layer once read never changes.
+    """
+
+    def __init__(self, moves: MoveSet) -> None:
+        self.moves = moves
+        self.layers: list[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    def grow(self, n: int) -> list[np.ndarray]:
+        """The layer list, holding at least the layers ``0..n``."""
+        if len(self.layers) <= n:
+            with self._lock:
+                for s in range(len(self.layers), n + 1):
+                    self.layers.append(self._layer(s))
+        return self.layers
+
+    def _layer(self, s: int) -> np.ndarray:
+        layer = np.zeros(s + 1, dtype=np.int16 if s + 1 <= _INT16_MAX else np.int32)
+        for a in self.moves:
+            if a > s:
+                break
+            # wins via a for (s; d, e), d >= a: e below the count of successor
+            # thresholds B[s-a][x] <= d-a; all of them means every e
+            below = self.layers[s - a]
+            k = np.searchsorted(below, np.arange(s - a + 1, dtype=below.dtype), side="right")
+            k[k > s - a] = s + 1
+            np.maximum(layer[a:], k, out=layer[a:])
+        return layer
+
+
+@lru_cache(maxsize=8)
+def _staircase(moves: MoveSet) -> _Staircase:
+    return _Staircase(moves)
+
+
 def solve_cash(moves: MoveSet, state: CashState, bound: int | None = None) -> SolveResult:
     """Exact winner and winning moves for one state, without the full cube.
 
+    Reads the move set's memoised staircase, growing it to ``state.n`` first.
     Raises :class:`ResourceLimit` when the stone count exceeds the configured
     bound (default 2048, overridable via ``NIMCASH_MAX_N`` or ``bound``).
     """
     n, d, e = state.clamped()
     _check_solver_bound(n, bound)
-
-    # mover_win[s][x] / opp_win[s][x]: does the side to move win with s stones
-    # left, given the root's mover has spent x so far (opponent spent n-s-x)?
-    mover_win: list[np.ndarray] = []
-    opp_win: list[np.ndarray] = []
-    for s in range(n + 1):
-        t = n - s
-        x = np.arange(t + 1)
-        wm = np.zeros(t + 1, dtype=bool)
-        wo = np.zeros(t + 1, dtype=bool)
-        for a in moves:
-            if a > s:
-                continue
-            afford_m = x <= d - a
-            wm |= afford_m & ~opp_win[s - a][x + a]
-            afford_o = (e - (t - x)) >= a
-            wo |= afford_o & ~mover_win[s - a][x]
-        mover_win.append(wm)
-        opp_win.append(wo)
-
+    layers = _staircase(moves).grow(n)
+    # a wins iff the successor (n-a; e, d-a) is lost for its mover
     wins = tuple(
-        a for a in moves if a <= min(n, d) and not opp_win[n - a][a]
+        a for a in moves if a <= min(n, d) and layers[n - a][min(e, n - a)] <= d - a
     )
     winner = Winner.MOVER if wins else Winner.OPPONENT
     return SolveResult(winner, wins, _plies_bound(moves, n))

@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import BadParams, OutOfRange, WrongRegion
 from .game import Funds, MoveSet, Winner, clamp_funds
 from .oracle import CashTable
-from .thresholds import Region, ThresholdTables, classify, critical_cells
+from .thresholds import CutoffSource, Region, ThresholdTables, classify, critical_cells
 
 
 @dataclass(frozen=True)
@@ -127,15 +127,17 @@ def step_cs(cert: PeriodCertificate, triple: CSTriple, a: int) -> CSTriple:
 
 
 def corresponding_state(
-    cert: PeriodCertificate, tables: ThresholdTables, n: int, d: Funds, e: Funds
+    cert: PeriodCertificate, source: CutoffSource, n: int, d: Funds, e: Funds
 ) -> CSTriple:
     """Abstract a position to (residue, mover gap, opponent gap).
 
-    Finite budgets enter the gap arithmetic unclamped; clamping is winner-
-    preserving but would break the step identity, since a budget may exceed
-    the stone count mid-line.  An unlimited budget stands in as ``n``.
+    The gaps are measured from ``source.cutoffs(n)``: recursion tables, or a
+    solved family's closed forms.  Finite budgets enter the gap arithmetic
+    unclamped; clamping is winner-preserving but would break the step
+    identity, since a budget may exceed the stone count mid-line.  An
+    unlimited budget stands in as ``n``.
     """
-    fi, fii, _ = tables.cutoffs(n)
+    fi, fii, _ = source.cutoffs(n)
     dc = d if isinstance(d, int) else clamp_funds(d, n)
     ec = e if isinstance(e, int) else clamp_funds(e, n)
     return CSTriple(n % cert.period, fi - 1 - dc, fii - 1 - ec)

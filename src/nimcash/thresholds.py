@@ -22,13 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from .game import Funds, MoveSet, Winner, clamp_funds
 from .errors import OutOfRange, WrongRegion
 from .oracle import standard_winners
+
+
+class CutoffSource(Protocol):
+    """Where rich cutoffs come from: recursion tables or a family's closed forms."""
+
+    def cutoffs(self, n: int) -> tuple[int, int, bool]:
+        """``(rich_i, rich_ii, standard mover wins)`` at ``n``."""
 
 
 @dataclass(frozen=True)
@@ -150,10 +157,14 @@ def poor_thresholds(moves: MoveSet, n: int) -> PoorThresholds:
     """Closed-form poor cutoffs; they depend on the move set only through min(A)."""
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
-    a1 = moves.a_min
+    return PoorThresholds(*_poor_cutoffs(moves.a_min, n))
+
+
+def _poor_cutoffs(a1: int, n: int) -> tuple[int, int]:
+    """``(poor_i, poor_ii)`` at ``n`` for minimum removal ``a1``, as plain ints."""
     i = n % (2 * a1)
     half = (n - i) // 2
-    return PoorThresholds(half + min(i + 1, a1), half + max(0, i - a1 + 1))
+    return half + min(i + 1, a1), half + max(0, i - a1 + 1)
 
 
 def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regime:
@@ -170,14 +181,14 @@ def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regi
     fi, fii, standard_wins = cutoffs
     dc = np.minimum(d, n) if isinstance(d, np.ndarray) else clamp_funds(d, n)
     ec = np.minimum(e, n) if isinstance(e, np.ndarray) else clamp_funds(e, n)
-    g = poor_thresholds(moves, n)
+    a1 = moves.a_min
+    poor_i, poor_ii = _poor_cutoffs(a1, n)
     rich_d, rich_e = dc >= fi, ec >= fii
-    poor_d, poor_e = dc < g.poor_i, ec < g.poor_ii
+    poor_d, poor_e = dc < poor_i, ec < poor_ii
     # complements are spelled as comparisons: ``~`` on a Python bool gives an int
     nobody_rich = (dc < fi) & (ec < fii)
-    a1 = moves.a_min
     mover_wins = (rich_d & ((ec < fii) | standard_wins)) | (
-        nobody_rich & poor_e & ((dc >= g.poor_i) | (dc // a1 > ec // a1))
+        nobody_rich & poor_e & ((dc >= poor_i) | (dc // a1 > ec // a1))
     )
     code = 4 * rich_d + 8 * rich_e + poor_d + 2 * poor_e
     return Regime(code, mover_wins)

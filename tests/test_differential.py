@@ -1,0 +1,36 @@
+"""Differential test: four routes to the winner of one position must agree.
+
+Hypothesis draws a move set from the subsets of 1..7 and a state with at most
+40 stones.  The plain recursive reference, the dense cube, the staircase
+behind ``solve_cash`` and ``WinEngine.decide`` are compared.  Runs are
+derandomized, so the examples are the same on every run.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nimcash import CashState, CashTable, WinEngine, Winner, new_move_set, solve_cash  # noqa: E402
+from reference import ref_mover_wins  # noqa: E402
+
+N_MAX = 40
+
+move_sets = st.sets(st.integers(1, 7), min_size=1).map(lambda s: tuple(sorted(s)))
+budgets = st.integers(0, N_MAX + 2)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(values=move_sets, n=st.integers(0, N_MAX), d=budgets, e=budgets)
+def test_reference_cube_staircase_and_engine_agree(values, n, d, e):
+    ms = new_move_set(values)
+    state = CashState(n, d, e)
+    want = ref_mover_wins(values, n, min(d, n), min(e, n))
+    cube = CashTable(ms, n).solve(state)
+    solved = solve_cash(ms, state)
+    decided = WinEngine(ms, n).decide(n, d, e)
+    assert (cube.winner is Winner.MOVER) == want
+    assert solved == cube
+    assert decided.winner is cube.winner

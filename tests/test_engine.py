@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
-from nimcash import Region, UNLIMITED, WinEngine, Winner, new_move_set
+from nimcash import (
+    UNLIMITED,
+    OutOfRange,
+    Region,
+    WinEngine,
+    Winner,
+    family_solution,
+    family_win,
+    new_move_set,
+    poor_thresholds,
+    recognize_family,
+)
 
 
 class TestDecide:
@@ -50,6 +63,47 @@ class TestDecide:
         decision = engine.decide(14, UNLIMITED, 10)
         assert decision.winner is Winner.OPPONENT
         assert decision.region is Region.RICH_BOTH
+
+
+class TestFamilyCutoffSource:
+    """Family engines read the closed-form cutoffs, which cover every n."""
+
+    @pytest.mark.parametrize("values", [(1, 4), (1, 3, 4), (1, 4, 5), (1, 6)])
+    def test_decide_agrees_with_family_win_past_n_max(self, values):
+        ms = new_move_set(values)
+        kind = recognize_family(ms)
+        sol = family_solution(kind)
+        engine = WinEngine(ms, 20)
+        rng = random.Random(23)
+        for n in [rng.randrange(10**12) for _ in range(150)] + [100, 10**15 + 7]:
+            fi, fii, _ = sol.cutoffs(n)
+            g = poor_thresholds(ms, n)
+            band = (rng.randint(g.poor_i, max(g.poor_i, fi - 1)),
+                    rng.randint(g.poor_ii, max(g.poor_ii, fii - 1)))
+            for d, e in [band, (rng.randint(0, n), rng.randint(0, n)),
+                         (UNLIMITED, n // 3), (n // 3, UNLIMITED)]:
+                assert engine.decide(n, d, e).winner is family_win(kind, n, d, e), (n, d, e)
+
+    @pytest.mark.parametrize("values", [(1, 4), (1, 4, 5)])
+    def test_sweep_past_n_max_equals_cube(self, values, cube_cache):
+        got = WinEngine(new_move_set(values), 10).sweep(40, 40, 40)
+        cube = cube_cache(values, 40)
+        idx = np.arange(41)
+        for n in range(41):
+            want = cube.win[n][np.ix_(np.minimum(idx, n), np.minimum(idx, n))]
+            assert (got[n] == want).all(), (values, n)
+
+    @pytest.mark.parametrize("values", [(3, 5, 6, 10, 11), (2, 3)])
+    def test_other_engines_stop_at_n_max(self, values):
+        engine = WinEngine(new_move_set(values), 20)
+        with pytest.raises(OutOfRange):
+            engine.decide(21, 5, 5)
+        with pytest.raises(OutOfRange):
+            engine.sweep(21, 5, 5)
+
+    def test_negative_stone_count_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            WinEngine(new_move_set([1, 4]), 20).decide(-1, 3, 3)
 
 
 class TestSweep:

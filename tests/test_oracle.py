@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from nimcash import (
@@ -18,6 +23,7 @@ from nimcash import (
     wins_miserly,
     wins_normally,
 )
+from nimcash import oracle
 from reference import ref_mover_wins, ref_standard_wins, ref_wins_miserly
 
 SETS = [(1, 3, 4), (1, 4), (2, 3), (3, 5, 6, 10, 11), (1, 2, 5)]
@@ -230,8 +236,6 @@ class TestTableInvariants:
 
 class TestRandomSets:
     def test_cube_vs_reference_on_random_move_sets(self):
-        import random
-
         rng = random.Random(20250811)
         for _ in range(12):
             size = rng.randint(1, 4)
@@ -267,3 +271,103 @@ class TestDeepPositions:
             want = family_win(kind, n, d, e)
             got = solve_cash(ms, CashState(n, d, e)).winner
             assert got is want, (n, d, e)
+
+
+STAIRCASE_SETS = [(1, 3, 4), (3, 5, 6, 10, 11), (2, 3), (1, 4, 5), (1, 2, 5), (1, 6)]
+
+
+def _staircase_wins(layers, n: int) -> np.ndarray:
+    """Layer ``n`` of the staircase as a cube layer over budgets ``0..len-1``."""
+    budgets = np.minimum(np.arange(len(layers[-1])), n)
+    return budgets[None, :] < layers[n][budgets][:, None]
+
+
+class TestStaircase:
+    """The memoised staircase behind ``solve_cash``, against the dense cube."""
+
+    @pytest.mark.parametrize("values", STAIRCASE_SETS)
+    def test_layers_match_dense_cube(self, values, cube_cache):
+        win = cube_cache(values, 120).win
+        layers = oracle._staircase(new_move_set(values)).grow(120)
+        for n in range(121):
+            assert (_staircase_wins(layers[:121], n) == win[n]).all(), (values, n)
+
+    def test_random_move_sets_match_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(12):
+            values = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 4))))
+            layers = oracle._staircase(new_move_set(values)).grow(12)
+            memo: dict = {}
+            for n in range(13):
+                got = _staircase_wins(layers[:13], n)
+                for d in range(13):
+                    for e in range(13):
+                        assert got[d, e] == ref_mover_wins(values, n, d, e, memo), (
+                            values, n, d, e,
+                        )
+
+    def test_int32_layers_past_the_int16_range(self, monkeypatch, cube_cache):
+        monkeypatch.setattr(oracle, "_INT16_MAX", 40)
+        layers = oracle._Staircase(new_move_set([1, 3, 4])).grow(80)
+        assert {layers[n].dtype for n in range(40)} == {np.dtype(np.int16)}
+        assert {layers[n].dtype for n in range(40, 81)} == {np.dtype(np.int32)}
+        win = cube_cache((1, 3, 4), 120).win
+        for n in range(81):
+            assert (_staircase_wins(layers, n) == win[n, :81, :81]).all(), n
+
+    def test_memo_interleaved_growth_matches_cold_cube(self):
+        oracle._staircase.cache_clear()
+        sets = [new_move_set(v) for v in [(1, 3, 4), (2, 3), (3, 5, 6, 10, 11)]]
+        cubes = {ms: CashTable(ms, 90) for ms in sets}
+        rng = random.Random(7)
+        for n in [90, 61, 30, 7, 0, 1, 8, 31, 62, 90]:
+            for ms in sets:
+                for _ in range(6):
+                    d, e = rng.randint(0, n + 2), rng.randint(0, n + 2)
+                    state = CashState(n, d, e)
+                    assert solve_cash(ms, state) == cubes[ms].solve(state), (ms, state)
+
+    def test_memo_is_bounded(self):
+        size = oracle._staircase.cache_info().maxsize
+        assert size == 8
+        for a in range(1, size + 4):
+            solve_cash(new_move_set([a, a + 1]), CashState(20, 10, 10))
+            assert oracle._staircase.cache_info().currsize <= size
+
+    def test_bound_is_checked_before_any_layer_is_built(self):
+        oracle._staircase.cache_clear()
+        with pytest.raises(ResourceLimit):
+            solve_cash(new_move_set([1, 2]), CashState(100, 5, 5), bound=50)
+        assert oracle._staircase.cache_info().currsize == 0
+
+    def test_concurrent_growth_appends_each_layer_once(self, cube_cache):
+        oracle._staircase.cache_clear()
+        ms = new_move_set([1, 3, 4])
+        win = cube_cache((1, 3, 4), 120).win
+        errors: list = []
+
+        def ask(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    n = rng.randint(0, 120)
+                    d, e = rng.randint(0, n), rng.randint(0, n)
+                    got = solve_cash(ms, CashState(n, d, e)).winner is Winner.MOVER
+                    assert got == win[n, d, e], (n, d, e)
+            except Exception as exc:  # a thread's failure is reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        layers = oracle._staircase(ms).layers
+        assert [len(layer) for layer in layers] == list(range(1, len(layers) + 1))

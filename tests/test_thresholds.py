@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from nimcash import (
@@ -15,8 +16,10 @@ from nimcash import (
     poor_winner,
     rich_winner,
 )
+from nimcash import oracle
 
 CORPUS = [(1, 4), (1, 6), (1, 5, 6), (1, 4, 5), (1, 3, 4), (3, 5, 6, 10, 11)]
+CORPUS_STAIRCASE = [(1, 3, 4), (3, 5, 6, 10, 11), (2, 3), (1, 4, 5), (1, 2, 5), (1, 6), (2, 5, 7)]
 
 
 class TestBuildThresholds:
@@ -65,6 +68,26 @@ class TestBuildThresholds:
                 if t.winners[n]:
                     least = next(d for d in range(n + 1) if cube.mover_wins(n, d, n))
                     assert least == t.rich_i[n], n
+
+    @pytest.mark.parametrize("values", CORPUS_STAIRCASE)
+    def test_winner_cutoff_read_off_the_staircase(self, values, tables_cache):
+        """The standard winner's rich cutoff equals the recursion's, up to n = 400.
+
+        On mover-win ``n`` it is the least ``d`` whose staircase threshold is
+        ``n+1`` (the mover wins against every opponent budget); on mover-loss
+        ``n`` the least opponent budget that beats a mover holding ``n``.  The
+        loser's completed cutoff is not a least-winning-budget quantity and is
+        not compared here.
+        """
+        t = tables_cache(values, 400)
+        layers = oracle._staircase(t.moves).grow(400)
+        for n in range(401):
+            b = layers[n]
+            assert bool(b[n] == n + 1) == bool(t.winners[n]), (values, n)
+            if t.winners[n]:
+                assert np.searchsorted(b, n + 1) == t.rich_i[n], (values, n)
+            else:
+                assert b[n] == t.rich_ii[n], (values, n)
 
     def test_boundary_sharpness(self, tables_cache, cube_cache):
         for values in [(1, 3, 4), (2, 3)]:
