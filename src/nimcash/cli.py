@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .engine import WinEngine
-from .errors import NimCashError, ResourceLimit
+from .errors import BadParams, NimCashError, ResourceLimit
 from .families import (
     appendix_check,
     conjecture_check,
@@ -114,6 +114,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     moves = parse_move_set(args.set)
     n_hi = args.n_max
+    for flag, value in (("--n-max", n_hi), ("--d-max", args.d_max), ("--e-max", args.e_max)):
+        if value is not None and value < 0:
+            raise BadParams(f"{flag} must be >= 0, got {value}")
     cube_mode = args.d_max is not None or args.e_max is not None
     limit = _solver_bound(None)
     if n_hi - 1 > limit:

@@ -16,12 +16,7 @@ import numpy as np
 from .families import family_solution, recognize_family
 from .game import CashState, Funds, MoveSet, Winner
 from .oracle import CashTable, SolveResult, solve_cash
-from .periodicity import (
-    CSTriple,
-    PeriodCertificate,
-    SolutionSet,
-    corresponding_state,
-)
+from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle
 from .thresholds import CutoffSource, Region, ThresholdTables, build_thresholds, regime
 
 
@@ -69,17 +64,14 @@ class WinEngine:
         return self._cube
 
     def decide(self, n: int, d: Funds, e: Funds) -> Decision:
-        r = regime(self.moves, n, self.cutoff_source.cutoffs(n), d, e)
-        if not r.critical:
-            winner = Winner.MOVER if r.mover_wins else Winner.OPPONENT
-            return Decision(winner, r.region, "rich" if r.region.rich else "poor")
-        if self.solution is not None:
-            cert, candidate = self.solution
-            cs = corresponding_state(cert, self.cutoff_source, n, d, e)
-            winner = Winner.MOVER if cs in candidate else Winner.OPPONENT
-            return Decision(winner, r.region, "critical", cs)
-        result = solve_cash(self.moves, CashState(n, d, e))
-        return Decision(result.winner, r.region, "oracle", result=result)
+        r, state, wins = _settle(self.cutoff_source, self.solution, n, d, e)
+        if wins is None:
+            result = solve_cash(self.moves, CashState(n, d, e))
+            return Decision(result.winner, r.region, "oracle", result=result)
+        winner = Winner.MOVER if wins else Winner.OPPONENT
+        if state is not None:
+            return Decision(winner, r.region, "critical", CSTriple(*state))
+        return Decision(winner, r.region, "rich" if r.region.rich else "poor")
 
     def sweep(self, n_hi: int, d_hi: int, e_hi: int) -> np.ndarray:
         """Pipeline winners for the whole box; True where the mover wins.

@@ -10,7 +10,7 @@ class EmptySet(NimCashError):
 
 
 class NonPositiveValue(NimCashError):
-    """Move amounts must be integers >= 1."""
+    """Move amounts must be integers >= 1, stone counts and budgets integers >= 0."""
 
 
 class DuplicateValue(NimCashError):

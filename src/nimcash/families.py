@@ -6,10 +6,15 @@ Three families have complete budget-aware win conditions:
 * ``{1, L, L+1}`` with ``L`` odd (modulus ``2L + 1``),
 * ``{1, L, L+1}`` with ``L`` even (modulus ``2L``).
 
-For each, this module bundles the standard-game residue pattern, closed
-forms for the rich cutoffs, the residue-indexed cost tables, and a solution
-set, all of which must agree exactly with the generic machinery (threshold
-recursion, period detection, oracle) — the test suite enforces that.
+Each family is data for the generic pipeline: its loser residues, closed
+forms for the rich cutoffs, and a solution set.  The period certificate is
+not written out: its winner pattern comes from the loser residues and its
+cost tables from the closed-form cutoffs, through the same identity that
+:func:`~nimcash.periodicity.compute_costs` applies to the recursion tables.
+Decisions go through the same critical-position step as ``WinEngine``.  The
+test suite checks the closed forms against the recursion, the derived
+certificate against period detection, and the solution sets against the
+oracle.
 
 Two report-only harnesses cover open territory.  ``conjecture_check`` probes
 interval sets ``{L..M}`` for an offset beyond which the cutoffs repeat with
@@ -21,7 +26,7 @@ table of 32 congruence rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +34,8 @@ import numpy as np
 from .errors import BadParams, OutOfRange
 from .game import Funds, MoveSet, Winner, new_move_set
 from .oracle import CashTable
-from .periodicity import CSTriple, PeriodCertificate, SolutionSet
-from .thresholds import build_thresholds, critical_cells, regime
+from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle, compute_costs
+from .thresholds import build_thresholds, critical_cells
 
 ONE_L = "1,L (L even)"
 ONE_L_L1_ODD = "1,L,L+1 (L odd)"
@@ -77,19 +82,27 @@ def recognize_family(moves: MoveSet) -> FamilyKind | None:
 
 @dataclass(frozen=True)
 class FamilySolution:
-    """All closed forms for one family instance.
+    """One solved family as data: loser residues, closed-form cutoffs, solution set.
 
     ``winner_need(n)`` is the budget the standard-game winner needs to win
     rich; ``loser_need(n)`` the loser's completed cutoff.  ``cutoffs``
     orients them into (Player I cutoff, Player II cutoff) and adds the
     standard-game outcome: the family's cutoff source, valid for every n.
+    The period certificate is derived from these cutoffs once, on
+    construction.
     """
 
     kind: FamilyKind
     loser_residues: frozenset[int]
-    cost_i: dict[tuple[int, int], int]
-    cost_ii: dict[tuple[int, int], int]
     solution_set: SolutionSet
+    moves: MoveSet = field(init=False, repr=False, compare=False)
+    _solution: tuple[PeriodCertificate, SolutionSet] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "moves", self.kind.moves)
+        object.__setattr__(self, "_solution", (_derive_certificate(self), self.solution_set))
 
     def standard_winner(self, n: int) -> Winner:
         if n % self.kind.modulus in self.loser_residues:
@@ -97,10 +110,30 @@ class FamilySolution:
         return Winner.MOVER
 
     def winner_need(self, n: int) -> int:
-        return _winner_need(self.kind, n)
+        kind = self.kind
+        L = kind.L
+        k, i = divmod(n, kind.modulus)
+        if kind.label == ONE_L:
+            return L * k + (i + 1) // 2 if i < L else L * (k + 1)
+        if kind.label == ONE_L_L1_ODD:
+            base = (3 * L + 1) * k // 2
+            return base + (i + 1) // 2 if i < L + 1 else base + L + (i - L + 1) // 2
+        base = 3 * L * k // 2
+        return base + (i + 1) // 2 if i < L else base + L + (i - L + 1) // 2
 
     def loser_need(self, n: int) -> int:
-        return _loser_need(self.kind, n)
+        kind = self.kind
+        L, half = kind.L, kind.half
+        k, i = divmod(n, kind.modulus)
+        if kind.label == ONE_L:
+            if n < L:
+                return n // 2
+            return L * k + i // 2 - half + 1 if i < L else L * k + half
+        if kind.label == ONE_L_L1_ODD:
+            base = (3 * L + 1) * k // 2
+            return base + i // 2 if i < L + 2 else base + L + (i - L) // 2
+        base = 3 * L * k // 2
+        return base + i // 2 if i < L + 1 else base + L + (i - L) // 2
 
     def cutoffs(self, n: int) -> tuple[int, int, bool]:
         """``(rich_i, rich_ii, standard mover wins)`` from the closed forms."""
@@ -114,109 +147,29 @@ class FamilySolution:
         return self.cutoffs(n)[:2]
 
     def certificate(self) -> PeriodCertificate:
-        """The family's period data in certificate form.
+        """The family's period data in certificate form, shared and read-only.
 
-        ``verified_up_to`` is 0: closed-form tables are not the product of a
-        bounded sweep (the test suite pins them against detection instead).
+        ``verified_up_to`` is 0: the tables follow from the closed forms, not
+        from a bounded sweep (the test suite pins them against detection).
         """
-        pattern = tuple(
-            Winner.OPPONENT if i in self.loser_residues else Winner.MOVER
-            for i in range(self.kind.modulus)
-        )
-        return PeriodCertificate(
-            self.kind.moves,
-            self.kind.modulus,
-            pattern,
-            dict(self.cost_i),
-            dict(self.cost_ii),
-            0,
-        )
+        return self._solution[0]
 
 
-def _winner_need(kind: FamilyKind, n: int) -> int:
-    L = kind.L
-    k, i = divmod(n, kind.modulus)
-    if kind.label == ONE_L:
-        return L * k + (i + 1) // 2 if i < L else L * (k + 1)
-    if kind.label == ONE_L_L1_ODD:
-        base = (3 * L + 1) * k // 2
-        return base + (i + 1) // 2 if i < L + 1 else base + L + (i - L + 1) // 2
-    base = 3 * L * k // 2
-    return base + (i + 1) // 2 if i < L else base + L + (i - L + 1) // 2
+def _derive_certificate(sol: FamilySolution) -> PeriodCertificate:
+    """Cost tables from the closed-form cutoffs, by the :func:`compute_costs` identity.
 
-
-def _loser_need(kind: FamilyKind, n: int) -> int:
-    L, half = kind.L, kind.half
-    k, i = divmod(n, kind.modulus)
-    if kind.label == ONE_L:
-        if n < L:
-            return n // 2
-        return L * k + i // 2 - half + 1 if i < L else L * k + half
-    if kind.label == ONE_L_L1_ODD:
-        base = (3 * L + 1) * k // 2
-        return base + i // 2 if i < L + 2 else base + L + (i - L) // 2
-    base = 3 * L * k // 2
-    return base + i // 2 if i < L + 1 else base + L + (i - L) // 2
-
-
-def _one_l_tables(L: int) -> tuple[dict, dict]:
-    ci: dict[tuple[int, int], int] = {}
-    cii: dict[tuple[int, int], int] = {}
-    for i in range(L + 1):
-        ci[(i, 1)] = L - 1 if i == L else 0
-        cii[(i, 1)] = 0
-        ci[(i, L)] = 0
-        cii[(i, L)] = 0 if i == L - 1 else L - 1
-    return ci, cii
-
-
-def _one_l_l1_odd_tables(L: int) -> tuple[dict, dict]:
-    half = L // 2
-    ci: dict[tuple[int, int], int] = {}
-    cii: dict[tuple[int, int], int] = {}
-    for i in range(2 * L + 1):
-        even = i % 2 == 0
-        ci[(i, 1)] = half + 1 if i == L + 1 else (half if i == L + 2 else 0)
-        cii[(i, 1)] = 0
-        if i == 0:
-            ci[(i, L)] = 0
-        elif i < L + 1:
-            ci[(i, L)] = -half
-        else:
-            ci[(i, L)] = 1 if even else 0
-        cii[(i, L)] = half if i <= L + 1 else (L - 1 if even else L)
-        # the final move's rows use half+1 where the halved slopes suggest
-        # half; only these values commute with the corresponding-state step
-        if 2 <= i <= L:
-            ci[(i, L + 1)] = -(half + 1) if even else -half
-        else:
-            ci[(i, L + 1)] = 0
-        if 1 <= i <= L + 1:
-            cii[(i, L + 1)] = half + 1 if even else half
-        else:
-            cii[(i, L + 1)] = L
-    return ci, cii
-
-
-def _one_l_l1_even_tables(L: int) -> tuple[dict, dict]:
-    half = L // 2
-    ci: dict[tuple[int, int], int] = {}
-    cii: dict[tuple[int, int], int] = {}
-    for i in range(2 * L):
-        even = i % 2 == 0
-        ci[(i, 1)] = half if i in (L, L + 1) else 0
-        cii[(i, 1)] = 0
-        if 1 <= i <= L - 1:
-            ci[(i, L)] = -half if even else -half + 1
-        else:
-            ci[(i, L)] = 0 if even else 1
-        if i < L + 1:
-            cii[(i, L)] = half if even else half - 1
-        else:
-            cii[(i, L)] = L if even else L - 1
-        ci[(i, L + 1)] = -half if 2 <= i <= L - 1 else 0
-        cii[(i, L + 1)] = half if 1 <= i <= L else L
-    return ci, cii
+    The cutoffs past ``max(A)`` repeat with the modulus up to a constant
+    advance, so each ``(residue, move a)`` entry is read at one ``n >= max(A) + a``.
+    """
+    moves, m = sol.moves, sol.kind.modulus
+    cost_i: dict[tuple[int, int], int] = {}
+    cost_ii: dict[tuple[int, int], int] = {}
+    for a in moves:
+        lo = moves.a_max + a
+        for i in range(m):
+            cost_i[(i, a)], cost_ii[(i, a)] = compute_costs(sol, lo + (i - lo) % m, a)
+    pattern = tuple(sol.standard_winner(i) for i in range(m))
+    return PeriodCertificate(moves, m, pattern, cost_i, cost_ii, 0)
 
 
 def _one_l_solution_set(L: int, loser_residues: frozenset[int]) -> SolutionSet:
@@ -271,17 +224,14 @@ def family_solution(kind: FamilyKind) -> FamilySolution:
     L = kind.L
     if kind.label == ONE_L:
         losers = frozenset(range(0, L - 1, 2))
-        ci, cii = _one_l_tables(L)
         x = _one_l_solution_set(L, losers)
     elif kind.label == ONE_L_L1_ODD:
         losers = frozenset(range(0, L, 2))
-        ci, cii = _one_l_l1_odd_tables(L)
         x = _one_l_l1_odd_solution_set(L)
     else:
         losers = frozenset(range(0, L - 1, 2))
-        ci, cii = _one_l_l1_even_tables(L)
         x = _one_l_l1_even_solution_set(L)
-    return FamilySolution(kind, losers, ci, cii, x)
+    return FamilySolution(kind, losers, x)
 
 
 def range_standard(L: int, M: int, n: int) -> Winner:
@@ -304,20 +254,13 @@ def family_win(kind: FamilyKind, n: int, d: Funds, e: Funds) -> Winner:
     """Complete win condition for a solved family, in time polylog in (n, d, e).
 
     Pipeline: rich cutoffs first, then poor cutoffs, then solution-set
-    membership of the corresponding state for the critical remainder.
+    membership of the corresponding state for the critical remainder, all
+    read off the family's closed forms.
     """
     if n < 0:
         raise BadParams(f"n must be >= 0, got {n}")
     sol = family_solution(kind)
-    cutoffs = sol.cutoffs(n)
-    r = regime(kind.moves, n, cutoffs, d, e)
-    if r.critical:
-        # critical budgets are ints below the rich cutoffs, which never exceed n
-        fi, fii, _ = cutoffs
-        wins = sol.solution_set.contains(n % kind.modulus, fi - 1 - d, fii - 1 - e)
-    else:
-        wins = r.mover_wins
-    return Winner.MOVER if wins else Winner.OPPONENT
+    return Winner.MOVER if _settle(sol, sol._solution, n, d, e)[2] else Winner.OPPONENT
 
 
 # --------------------------------------------------------------------------

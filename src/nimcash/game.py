@@ -70,10 +70,18 @@ def parse_funds(text: str) -> Funds:
     text = text.strip()
     if text.upper() == "UF":
         return UNLIMITED
-    value = int(text)
-    if value < 0:
-        raise NonPositiveValue(f"budget must be >= 0, got {value}")
-    return value
+    try:
+        value = int(text)
+    except ValueError:
+        raise NonPositiveValue(f"budget must be an integer >= 0 or UF, got {text!r}") from None
+    return _check_funds(value)
+
+
+def _check_funds(funds: Funds) -> Funds:
+    """The one budget rule: :data:`UNLIMITED` or an integer >= 0."""
+    if not (funds is UNLIMITED or (type(funds) is int and funds >= 0)):
+        _integer(funds, 0, "budgets")
+    return funds
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ class MoveSet:
     def __post_init__(self) -> None:
         if not self.values:
             raise EmptySet("move set must be nonempty")
-        values = tuple(_amount(v) for v in self.values)
+        values = tuple(_integer(v, 1, "move amounts") for v in self.values)
         if len(set(values)) != len(values):
             raise DuplicateValue(f"duplicate move amounts in {values}")
         object.__setattr__(self, "values", tuple(sorted(values)))
@@ -109,15 +117,15 @@ class MoveSet:
         return "{" + ",".join(str(v) for v in self.values) + "}"
 
 
-def _amount(value) -> int:
-    """A move amount as a plain int; numpy integers pass, bools and floats do not."""
+def _integer(value, least: int, what: str) -> int:
+    """``value`` as a plain int >= ``least``; numpy integers pass, bools and floats do not."""
     try:
-        amount = operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        amount = 0
-    if isinstance(value, bool) or amount < 1:
-        raise NonPositiveValue(f"move amounts must be integers >= 1, got {value!r}")
-    return amount
+        number = least - 1
+    if isinstance(value, bool) or number < least:
+        raise NonPositiveValue(f"{what} must be integers >= {least}, got {value!r}")
+    return number
 
 
 def new_move_set(values) -> MoveSet:
@@ -136,9 +144,8 @@ class CashState:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or self.n < 0:
             raise NonPositiveValue(f"stone count must be >= 0, got {self.n!r}")
-        for f in (self.d, self.e):
-            if isinstance(f, bool) or (isinstance(f, int) and f < 0):
-                raise NonPositiveValue(f"budgets must be >= 0, got {f!r}")
+        _check_funds(self.d)
+        _check_funds(self.e)
 
     def clamped(self) -> tuple[int, int, int]:
         """The equivalent all-finite state with budgets capped at ``n``."""

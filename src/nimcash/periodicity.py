@@ -16,12 +16,13 @@ were verified on and never claim more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import BadParams, OutOfRange, WrongRegion
 from .game import Funds, MoveSet, Winner, clamp_funds
 from .oracle import CashTable
-from .thresholds import CutoffSource, Region, ThresholdTables, classify, critical_cells
+from .thresholds import CutoffSource, Regime, ThresholdTables, critical_cells, regime
 
 
 @dataclass(frozen=True)
@@ -43,17 +44,22 @@ class PeriodCertificate:
     """Empirically verified period with residue-indexed winner and cost tables.
 
     ``cost_i[(i, a)]`` and ``cost_ii[(i, a)]`` are the gap-coordinate deltas
-    of removing ``a`` from a position with residue ``i``.  All statements are
+    of removing ``a`` from a position with residue ``i``; they are stored as
+    read-only copies, so one certificate can be shared.  All statements are
     "verified up to ``verified_up_to``", never proved.
     """
 
     moves: MoveSet
     period: int
     winner_pattern: tuple[Winner, ...]
-    # left out of the hash (dicts are unhashable); equality still compares them
-    cost_i: dict[tuple[int, int], int] = field(hash=False)
-    cost_ii: dict[tuple[int, int], int] = field(hash=False)
+    # left out of the hash (mappings are unhashable); equality still compares them
+    cost_i: Mapping[tuple[int, int], int] = field(hash=False)
+    cost_ii: Mapping[tuple[int, int], int] = field(hash=False)
     verified_up_to: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cost_i", MappingProxyType(dict(self.cost_i)))
+        object.__setattr__(self, "cost_ii", MappingProxyType(dict(self.cost_ii)))
 
     def pattern_winner(self, residue: int) -> Winner:
         return self.winner_pattern[residue % self.period]
@@ -95,7 +101,7 @@ class VerificationReport:
         return not self.violations
 
 
-def compute_costs(tables: ThresholdTables, n: int, a: int) -> tuple[int, int]:
+def compute_costs(tables: CutoffSource, n: int, a: int) -> tuple[int, int]:
     """Gap-coordinate deltas of removing ``a`` from ``n`` stones.
 
     The mover's gap becomes the opponent's, shrunk by ``cost_i``; the
@@ -103,13 +109,14 @@ def compute_costs(tables: ThresholdTables, n: int, a: int) -> tuple[int, int]:
 
         cost_i(n, a)  = rich_i(n) - rich_ii(n - a) - a
         cost_ii(n, a) = rich_ii(n) - rich_i(n - a)
+
+    ``tables`` is any cutoff source: recursion tables or a family's closed forms.
     """
-    tables.check_range(n)
     if a not in tables.moves or a > n:
         raise OutOfRange(f"move {a} not applicable at n={n}")
-    ci = int(tables.rich_i[n]) - int(tables.rich_ii[n - a]) - a
-    cii = int(tables.rich_ii[n]) - int(tables.rich_i[n - a])
-    return ci, cii
+    fi, fii, _ = tables.cutoffs(n)
+    gi, gii, _ = tables.cutoffs(n - a)
+    return fi - gii - a, fii - gi
 
 
 def step_cs(cert: PeriodCertificate, triple: CSTriple, a: int) -> CSTriple:
@@ -157,6 +164,8 @@ def detect_cash_period(
     every candidate).  Returns None when no period ``<= m_max`` survives;
     absence is an answer, not an error.
     """
+    if m_max < 1:
+        raise BadParams(f"m_max must be >= 1, got {m_max}")
     a_max = tables.moves.a_max
     if n_check is None:
         n_check = tables.n_max - a_max
@@ -286,7 +295,33 @@ def critical_winner(
     e: Funds,
 ) -> Winner:
     """Decide a critical position by solution-set membership."""
-    if classify(tables, n, d, e) is not Region.CRITICAL:
+    _, state, wins = _settle(tables, (cert, candidate), n, d, e)
+    if state is None:
         raise WrongRegion(f"({n};{d},{e}) is not critical")
-    cs = corresponding_state(cert, tables, n, d, e)
-    return Winner.MOVER if cs in candidate else Winner.OPPONENT
+    return Winner.MOVER if wins else Winner.OPPONENT
+
+
+def _settle(
+    source: CutoffSource,
+    solution: tuple[PeriodCertificate, SolutionSet] | None,
+    n: int,
+    d: Funds,
+    e: Funds,
+) -> tuple[Regime, tuple[int, int, int] | None, bool | None]:
+    """Decide ``(n; d, e)`` from one read of ``source.cutoffs(n)``.
+
+    Returns the regime, the ``(residue, mover gap, opponent gap)`` of a
+    critical position decided by ``solution`` (else None), and whether the
+    mover wins (None on a critical position without a solution).
+    """
+    cutoffs = source.cutoffs(n)
+    r = regime(source.moves, n, cutoffs, d, e)
+    if not r.critical:
+        return r, None, r.mover_wins
+    if solution is None:
+        return r, None, None
+    cert, candidate = solution
+    # critical budgets are ints below the rich cutoffs, which never exceed n
+    fi, fii, _ = cutoffs
+    state = (n % cert.period, fi - 1 - d, fii - 1 - e)
+    return r, state, candidate.contains(*state)

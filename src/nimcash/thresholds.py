@@ -26,13 +26,15 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .game import Funds, MoveSet, Winner, clamp_funds
+from .game import Funds, MoveSet, Winner, _check_funds, clamp_funds
 from .errors import OutOfRange, WrongRegion
 from .oracle import standard_winners
 
 
 class CutoffSource(Protocol):
     """Where rich cutoffs come from: recursion tables or a family's closed forms."""
+
+    moves: MoveSet
 
     def cutoffs(self, n: int) -> tuple[int, int, bool]:
         """``(rich_i, rich_ii, standard mover wins)`` at ``n``."""
@@ -172,15 +174,16 @@ def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regi
 
     ``cutoffs`` is ``(rich_i, rich_ii, standard mover wins)`` for ``n``, from a
     cutoff source.  Budgets are ints of any size, :data:`UNLIMITED`, or
-    integer arrays; they are clamped to ``n`` first.  A rich player wins
-    against a non-rich one and the standard game decides between two rich
-    players.  A poor player loses against a non-poor one, and between two
+    integer arrays; they are clamped to ``n`` first.  A scalar budget that
+    breaks the budget rule raises :class:`NonPositiveValue`; arrays are not
+    checked.  A rich player wins against a non-rich one and the standard
+    game decides between two rich players.  A poor player loses against a non-poor one, and between two
     poor players whoever can afford strictly more minimum moves wins; the
     mover loses ties.
     """
     fi, fii, standard_wins = cutoffs
-    dc = np.minimum(d, n) if isinstance(d, np.ndarray) else clamp_funds(d, n)
-    ec = np.minimum(e, n) if isinstance(e, np.ndarray) else clamp_funds(e, n)
+    dc = np.minimum(d, n) if isinstance(d, np.ndarray) else clamp_funds(_check_funds(d), n)
+    ec = np.minimum(e, n) if isinstance(e, np.ndarray) else clamp_funds(_check_funds(e), n)
     a1 = moves.a_min
     poor_i, poor_ii = _poor_cutoffs(a1, n)
     rich_d, rich_e = dc >= fi, ec >= fii

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +87,26 @@ class TestSolve:
         assert code == 0 and "decided by: oracle" in out
         assert "Player I wins (critical regime)" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("flag", ["-d", "-e"])
+    def test_non_integer_budget_is_bad_input(self, capsys, flag):
+        argv = {"-d": "3", "-e": "3", flag: "abc"}
+        code, out, err = run_cli(
+            capsys, "solve", "-A", "1,3,4", "-n", "5", "-d", argv["-d"], "-e", argv["-e"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_module_entry_point_reports_bad_input(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nimcash", "solve", "-A", "1,3,4", "-n", "5", "-d", "abc", "-e", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
 
 
 class TestTable:
@@ -179,6 +202,16 @@ class TestTable:
         assert code == 2
         assert "export limit" in err
 
+    @pytest.mark.parametrize("sizes", [
+        ("--n-max", "-1"),
+        ("--n-max", "5", "--d-max", "-2", "--e-max", "3"),
+        ("--n-max", "5", "--d-max", "3", "--e-max", "-1"),
+    ])
+    def test_negative_size_is_bad_input(self, capsys, sizes):
+        code, out, err = run_cli(capsys, "table", "-A", "1,3,4", *sizes)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
 
 class TestPeriod:
     def test_one_four(self, capsys):
@@ -197,6 +230,12 @@ class TestPeriod:
         )
         assert code == 0
         assert out.startswith("none found (checked m <= 16, n <= 400)")
+
+    @pytest.mark.parametrize("m_max", ["-1", "0"])
+    def test_period_bound_below_one_is_bad_input(self, capsys, m_max):
+        code, out, err = run_cli(capsys, "period", "-A", "1,3,4", "--m-max", m_max)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pytest
 
 from nimcash import (
     UNLIMITED,
+    NonPositiveValue,
     OutOfRange,
     Region,
     WinEngine,
@@ -63,6 +64,12 @@ class TestDecide:
         decision = engine.decide(14, UNLIMITED, 10)
         assert decision.winner is Winner.OPPONENT
         assert decision.region is Region.RICH_BOTH
+
+    @pytest.mark.parametrize("values", [(1, 3, 4), (3, 5, 6, 10, 11)])
+    @pytest.mark.parametrize("d, e", [(3, -4), (-1, 3), (True, 3), (3, 2.5)])
+    def test_budgets_outside_the_rule_rejected(self, values, d, e):
+        with pytest.raises(NonPositiveValue):
+            WinEngine(new_move_set(values), 20).decide(10, d, e)
 
 
 class TestFamilyCutoffSource:

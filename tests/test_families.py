@@ -6,10 +6,12 @@ import pytest
 
 from nimcash import (
     BadParams,
+    NonPositiveValue,
     Winner,
     appendix_check,
     build_thresholds,
     conjecture_check,
+    detect_cash_period,
     family_solution,
     family_standard,
     family_win,
@@ -83,8 +85,31 @@ class TestClosedForms:
         sol = family_solution(one_l(4))
         assert sol.winner_need(13) == 10
         assert sol.loser_need(9) == 6
-        assert sol.cost_i[(4, 1)] == 3
-        assert all(sol.cost_ii[(i, 1)] == 0 for i in range(5))
+        cert = sol.certificate()
+        assert cert.cost_i[(4, 1)] == 3
+        assert all(cert.cost_ii[(i, 1)] == 0 for i in range(5))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_certificate_matches_detection(self, kind, tables_cache):
+        """The tables derived from the closed forms equal those read off the recursion."""
+        cert = family_solution(kind).certificate()
+        detected = detect_cash_period(
+            kind.moves, tables_cache(kind.moves.values, 700), m_max=kind.modulus, n_check=600
+        )
+        assert detected is not None
+        assert detected.period == cert.period == kind.modulus
+        assert detected.winner_pattern == cert.winner_pattern
+        assert detected.cost_i == cert.cost_i
+        assert detected.cost_ii == cert.cost_ii
+        assert cert.verified_up_to == 0
+
+    def test_certificate_is_shared_and_read_only(self):
+        cert = family_solution(one_l(4)).certificate()
+        assert family_solution(one_l(4)).certificate() is cert
+        with pytest.raises(TypeError):
+            cert.cost_i[(4, 1)] = 0
+        with pytest.raises(TypeError):
+            cert.cost_ii[(0, 4)] = 0
 
     def test_odd_family_slope(self):
         # the winner's cutoff climbs by (3L+1)/2 per full period
@@ -134,6 +159,11 @@ class TestFamilyWin:
 
     def test_poor_both_example(self):
         assert family_win(one_l(4), 9, 3, 2) is Winner.MOVER
+
+    @pytest.mark.parametrize("d, e", [(-1, 3), (True, 3), (3, -2), (3, False), (2.0, 3)])
+    def test_budgets_outside_the_rule_rejected(self, d, e):
+        with pytest.raises(NonPositiveValue):
+            family_win(one_l(4), 10, d, e)
 
     @pytest.mark.parametrize("kind", [one_l(4), one_l_l1(3), one_l_l1(4), one_l_l1(5)])
     def test_matches_oracle_on_box(self, kind, cube_cache):

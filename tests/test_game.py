@@ -70,14 +70,21 @@ class TestFunds:
         with pytest.raises(NonPositiveValue):
             parse_funds("-1")
 
+    @pytest.mark.parametrize("text", ["abc", "3.5", "", "1e3"])
+    def test_parse_rejects_non_integers(self, text):
+        with pytest.raises(NonPositiveValue):
+            parse_funds(text)
+
     def test_state_validation(self):
         with pytest.raises(NonPositiveValue):
             CashState(-1, 3, 3)
         with pytest.raises(NonPositiveValue):
             CashState(3, -1, 3)
-        for flagged in [(True, 1, 1), (3, True, 1), (3, 1, False)]:
+        for flagged in [(True, 1, 1), (3, True, 1), (3, 1, False), (3, 2.0, 1),
+                        (3, 1, np.int64(-1))]:
             with pytest.raises(NonPositiveValue):
                 CashState(*flagged)
+        assert CashState(3, np.int64(2), 1).d == 2
         assert str(CashState(14, UNLIMITED, 10)) == "(14;UF,10)"
 
 

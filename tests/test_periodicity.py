@@ -74,8 +74,8 @@ class TestDetection:
         cert = detect_cash_period(kind.moves, t, m_max=32, n_check=600)
         assert cert is not None
         assert cert.period == kind.modulus
-        assert cert.cost_i == sol.cost_i
-        assert cert.cost_ii == sol.cost_ii
+        assert cert.cost_i == sol.certificate().cost_i
+        assert cert.cost_ii == sol.certificate().cost_ii
         assert cert.winner_pattern == sol.certificate().winner_pattern
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from nimcash import (
     UNLIMITED,
+    NonPositiveValue,
     OutOfRange,
     Region,
     Winner,
@@ -163,6 +164,14 @@ class TestClassify:
         t = tables_cache((1, 4), 20)
         with pytest.raises(OutOfRange):
             classify(t, 21, 3, 3)
+
+    @pytest.mark.parametrize("d, e", [(-3, 2), (2, -1), (False, 2), (2, True), (1.5, 2)])
+    def test_budgets_outside_the_rule_rejected(self, tables_cache, d, e):
+        t = tables_cache((1, 3, 4), 20)
+        with pytest.raises(NonPositiveValue):
+            classify(t, 10, d, e)
+        with pytest.raises(NonPositiveValue):
+            poor_winner(t.moves, 10, d, e)
 
 
 class TestRichWinner:
