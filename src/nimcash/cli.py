@@ -40,7 +40,7 @@ from .game import (
     new_move_set,
     parse_funds,
 )
-from .oracle import CashTable, _check_solver_bound, _solver_bound, best_move, solve_cash
+from .oracle import _check_solver_bound, _solver_bound, best_move, solve_cash, staircase
 from .periodicity import (
     CSTriple,
     SolutionSet,
@@ -86,6 +86,13 @@ def _emit_rows(rows: list[tuple], columns: tuple[str, ...], fmt: str, out_path: 
         sys.stdout.write(text)
 
 
+def _check_sizes(*flags: tuple[str, int | None]) -> None:
+    """Reject a negative size flag up front, before anything is printed."""
+    for flag, value in flags:
+        if value is not None and value < 0:
+            raise BadParams(f"{flag} must be >= 0, got {value}")
+
+
 # ------------------------------------------------------------------ solve
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -114,9 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     moves = parse_move_set(args.set)
     n_hi = args.n_max
-    for flag, value in (("--n-max", n_hi), ("--d-max", args.d_max), ("--e-max", args.e_max)):
-        if value is not None and value < 0:
-            raise BadParams(f"{flag} must be >= 0, got {value}")
+    _check_sizes(("--n-max", n_hi), ("--d-max", args.d_max), ("--e-max", args.e_max))
     cube_mode = args.d_max is not None or args.e_max is not None
     limit = _solver_bound(None)
     if n_hi - 1 > limit:
@@ -136,7 +141,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if n_hi * max(d_hi, 1) * max(e_hi, 1) > 50_000_000:
         raise ResourceLimit(f"cube of {n_hi}x{d_hi}x{e_hi} cells is past the export limit")
     engine = WinEngine(moves, max(n_hi - 1, 0))
-    win = engine.cube().win
+    layers = staircase(moves, max(n_hi - 1, 0))
     d = np.arange(d_hi)[:, None]
     e = np.arange(e_hi)[None, :]
     rows = []
@@ -144,10 +149,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         fi, fii, _ = cutoffs = engine.tables.cutoffs(n)
         r = regime(moves, n, cutoffs, d, e)
         regions, critical = r.region.tolist(), r.critical.tolist()
-        # winning first moves: (n; d, e) -> (n-a; e, d-a) must be lost for the opponent
+        # a wins iff (n-a; e, d-a) is lost for its mover; B >= 0, so dc < a never wins
         dc, ec = np.minimum(d, n), np.minimum(e, n)
         by_move = [
-            (a, ((dc >= a) & ~win[n - a, ec, np.maximum(dc - a, 0)]).tolist())
+            (a, (layers[n - a][np.minimum(ec, n - a)] <= dc - a).tolist())
             for a in moves
             if a <= n
         ]
@@ -187,6 +192,7 @@ _FAMILY_BUILDERS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_sizes(("--box", args.box), ("--oracle-box", args.oracle_box))
     if args.family:
         name = args.family[0]
         try:
@@ -241,12 +247,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.family:
         n_hi = args.oracle_box
         tables = build_thresholds(moves, n_hi)
-        cube = CashTable(moves, n_hi)
+        layers = staircase(moves, n_hi)
         mismatches = 0
         for n in range(n_hi + 1):
             d, e, mover_gap, opp_gap = critical_cells(tables, n)
             member = candidate.contains(n % cert.period, mover_gap, opp_gap)
-            mismatches += int(np.count_nonzero(member != cube.win[n, d, e]))
+            mismatches += int(np.count_nonzero(member != (e < layers[n][d])))
         print(f"oracle agreement on critical states n <= {n_hi}: {mismatches} mismatches")
         oracle_ok = mismatches == 0
     passed = report.passed and oracle_ok

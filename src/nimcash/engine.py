@@ -3,7 +3,7 @@
 ``WinEngine`` wires the pieces together for one move set.  Rich and poor
 positions are decided by their cutoffs; critical positions go through a
 solution set when one is available (recognized family instances supply
-theirs automatically) and fall back to the exact solver otherwise.  The
+theirs automatically) and fall back to the staircase oracle otherwise.  The
 engine reports which rule decided each query so callers can explain results.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .families import family_solution, recognize_family
 from .game import CashState, Funds, MoveSet, Winner
-from .oracle import CashTable, SolveResult, solve_cash
+from .oracle import CashTable, SolveResult, solve_cash, staircase
 from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle
 from .thresholds import CutoffSource, Region, ThresholdTables, build_thresholds, regime
 
@@ -36,7 +36,9 @@ class WinEngine:
 
     Cutoffs come from ``cutoff_source``: a recognized family's closed forms,
     valid for every ``n``, or else the recursion tables up to ``n_max``, past
-    which queries raise :class:`OutOfRange`.
+    which queries raise :class:`OutOfRange`.  Critical positions without a
+    solution set are read off the staircase oracle; :meth:`cube` builds the
+    dense reference for checks and is never read by the engine itself.
     """
 
     def __init__(
@@ -55,13 +57,10 @@ class WinEngine:
         self.solution = solution
         # a solved family's closed forms cover every n; the tables stop at n_max
         self.cutoff_source: CutoffSource = self.tables if family is None else family
-        self._cube: CashTable | None = None
 
     def cube(self) -> CashTable:
-        """Dense oracle over the engine's whole range, built on first use."""
-        if self._cube is None:
-            self._cube = CashTable(self.moves, self.n_max)
-        return self._cube
+        """A fresh dense cube over the engine's range: the independent reference."""
+        return CashTable(self.moves, self.n_max)
 
     def decide(self, n: int, d: Funds, e: Funds) -> Decision:
         r, state, wins = _settle(self.cutoff_source, self.solution, n, d, e)
@@ -77,8 +76,9 @@ class WinEngine:
         """Pipeline winners for the whole box; True where the mover wins.
 
         Each layer takes one regime call; its critical cells take one
-        solution-set call with array gaps, or are read off the oracle cube.
-        Output is indexed by the raw, unclamped budgets.
+        solution-set call with array gaps, or one compare against the
+        layer's staircase row.  Output is indexed by the raw, unclamped
+        budgets.
         """
         self.cutoff_source.cutoffs(n_hi)  # OutOfRange past the tables, before allocating
         out = np.zeros((n_hi + 1, d_hi + 1, e_hi + 1), dtype=bool)
@@ -97,5 +97,5 @@ class WinEngine:
                 fi, fii, _ = cutoffs
                 out[n, di, ei] = candidate.contains(n % cert.period, fi - 1 - di, fii - 1 - ei)
             else:
-                out[n, di, ei] = self.cube().win[n, di, ei]
+                out[n, di, ei] = ei < staircase(self.moves, n)[n][di]
         return out

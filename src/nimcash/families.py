@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParams, OutOfRange
-from .game import Funds, MoveSet, Winner, new_move_set
-from .oracle import CashTable
+from .game import Funds, MoveSet, Winner, _check_stones, new_move_set
+from .oracle import staircase
 from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle, compute_costs
 from .thresholds import build_thresholds, critical_cells
 
@@ -137,7 +137,7 @@ class FamilySolution:
 
     def cutoffs(self, n: int) -> tuple[int, int, bool]:
         """``(rich_i, rich_ii, standard mover wins)`` from the closed forms."""
-        if n < 0:
+        if _check_stones(n) < 0:
             raise OutOfRange(f"n must be >= 0, got {n}")
         if self.standard_winner(n) is Winner.MOVER:
             return self.winner_need(n), self.loser_need(n), True
@@ -243,7 +243,7 @@ def range_standard(L: int, M: int, n: int) -> Winner:
 
 def family_standard(kind_or_range: FamilyKind | tuple[int, int], n: int) -> Winner:
     """Standard-game winner by residue, for a family or an interval (L, M)."""
-    if n < 0:
+    if _check_stones(n) < 0:
         raise BadParams(f"n must be >= 0, got {n}")
     if isinstance(kind_or_range, tuple):
         return range_standard(*kind_or_range, n)
@@ -257,7 +257,7 @@ def family_win(kind: FamilyKind, n: int, d: Funds, e: Funds) -> Winner:
     membership of the corresponding state for the critical remainder, all
     read off the family's closed forms.
     """
-    if n < 0:
+    if _check_stones(n) < 0:
         raise BadParams(f"n must be >= 0, got {n}")
     sol = family_solution(kind)
     return Winner.MOVER if _settle(sol, sol._solution, n, d, e)[2] else Winner.OPPONENT
@@ -326,9 +326,9 @@ def conjecture_check(
     """Sweep {L..M}: detect the cutoff offset and test the conjectured rule.
 
     The offset scan needs ``n_max`` large enough for three periods of length
-    ``L + M`` past the candidate offset; the solution-set comparison runs the
-    oracle over all critical positions with ``n <= critical_n_max`` (default
-    ``min(n_max, 120)``).
+    ``L + M`` past the candidate offset; the solution-set comparison reads
+    the staircase oracle on all critical positions with
+    ``n <= critical_n_max`` (default ``min(n_max, 120)``).
     """
     if not 1 <= L <= M:
         raise BadParams(f"need 1 <= L <= M, got L={L} M={M}")
@@ -337,8 +337,8 @@ def conjecture_check(
         raise BadParams(f"n_max={n_max} leaves fewer than three periods of {period}")
     if critical_n_max is None:
         critical_n_max = min(n_max, 120)
-    if critical_n_max > n_max:
-        raise BadParams("critical_n_max cannot exceed n_max")
+    if not 0 <= critical_n_max <= n_max:
+        raise BadParams(f"critical_n_max must be in 0..n_max={n_max}, got {critical_n_max}")
 
     moves = new_move_set(range(L, M + 1))
     tables = build_thresholds(moves, n_max)
@@ -362,13 +362,13 @@ def conjecture_check(
     else:
         special = True
 
-    table = CashTable(moves, critical_n_max)
+    layers = staircase(moves, critical_n_max)
     checked = 0
     bad: list[XCounterexample] = []
     for n in range(critical_n_max + 1):
         d, e, mover_gap, opp_gap = critical_cells(tables, n)
         checked += d.size
-        wins = table.win[n, d, e]
+        wins = e < layers[n][d]  # critical budgets are below n: unclamped
         member = interval_cs_member(L, M, n % period, mover_gap, opp_gap)
         for k in np.flatnonzero(member != wins).tolist():
             cs = CSTriple(n % period, int(mover_gap[k]), int(opp_gap[k]))

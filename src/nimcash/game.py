@@ -84,6 +84,15 @@ def _check_funds(funds: Funds) -> Funds:
     return funds
 
 
+def _check_stones(n) -> int:
+    """The one stone-count rule: an integer, returned as a plain int.
+
+    The sign is left to the caller, so each entry point keeps its own error
+    for a negative count.
+    """
+    return n if type(n) is int else _integer(n, None, "stone counts")
+
+
 @dataclass(frozen=True)
 class MoveSet:
     """A validated, strictly increasing set of allowed removal amounts."""
@@ -117,14 +126,16 @@ class MoveSet:
         return "{" + ",".join(str(v) for v in self.values) + "}"
 
 
-def _integer(value, least: int, what: str) -> int:
-    """``value`` as a plain int >= ``least``; numpy integers pass, bools and floats do not."""
+def _integer(value, least: int | None, what: str) -> int:
+    """``value`` as a plain int >= ``least`` (any int if None); numpy integers pass,
+    bools, floats and strings do not."""
     try:
         number = operator.index(value)
     except TypeError:
-        number = least - 1
-    if isinstance(value, bool) or number < least:
-        raise NonPositiveValue(f"{what} must be integers >= {least}, got {value!r}")
+        number = None
+    if isinstance(value, bool) or number is None or (least is not None and number < least):
+        bound = "" if least is None else f" >= {least}"
+        raise NonPositiveValue(f"{what} must be integers{bound}, got {value!r}")
     return number
 
 
@@ -142,7 +153,7 @@ class CashState:
     e: Funds
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or self.n < 0:
+        if _check_stones(self.n) < 0:
             raise NonPositiveValue(f"stone count must be >= 0, got {self.n!r}")
         _check_funds(self.d)
         _check_funds(self.e)

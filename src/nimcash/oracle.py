@@ -2,21 +2,26 @@
 
 Two representations of the same winner function:
 
+* :func:`staircase` is the production oracle; every exact read in the
+  package goes through it.  Cash is monotone: more money never hurts the
+  mover, and more money never hurts the opponent.  So the mover's wins in a
+  layer form a staircase, and one int per ``(n, d)`` describes it:
+  ``B[n][d]``, the least opponent budget at which the mover loses
+  ``(n; d, .)``, or ``n+1`` if there is none.  The mover wins ``(n; d, e)``
+  exactly when ``min(e, n) < B[n][min(d, n)]``, so a whole layer is one
+  broadcast compare.  A move ``a`` wins when the successor ``(n-a; e, d-a)``
+  is lost for its mover, i.e. when ``B[n-a][e] <= d-a``; for a fixed ``d``
+  that holds exactly for the ``e`` below ``searchsorted(B[n-a], d-a,
+  'right')``, so a layer is the max over affordable moves of one
+  ``searchsorted`` each.  One staircase per move set is kept (the last 8
+  move sets), grown append-only up to the queried ``n`` under a lock, with
+  read-only layers: O(n^2) small ints, built once, then O(|A|) reads per
+  query.  :func:`solve_cash` answers single positions from it.
 * :class:`CashTable` materializes the dense winner cube ``win[n, d, e]`` with
-  numpy, bottom-up in ``n``.  It assumes nothing about the shape of a layer,
-  which makes it the independent oracle every fast path is checked against;
-  it is also the tool for box sweeps, audits, and threshold extraction.
-* :func:`solve_cash` reads a memoised *staircase*.  Cash is monotone: more
-  money never hurts the mover, and more money never hurts the opponent.  So
-  the mover's wins in a layer form a staircase, and one int per ``(n, d)``
-  describes it: ``B[n][d]``, the least opponent budget at which the mover
-  loses ``(n; d, .)``, or ``n+1`` if there is none.  A move ``a`` wins when
-  the successor ``(n-a; e, d-a)`` is lost for its mover, i.e. when
-  ``B[n-a][e] <= d-a``; for a fixed ``d`` that holds exactly for the ``e``
-  below ``searchsorted(B[n-a], d-a, 'right')``, so a layer is the max over
-  affordable moves of one ``searchsorted`` each.  One staircase per move set
-  is kept (the last 8 move sets), grown append-only up to the queried ``n``
-  under a lock: O(n^2) small ints, built once, then O(|A|) reads per query.
+  numpy, bottom-up in ``n``.  It is O(n^3) and assumes nothing about the
+  shape of a layer, which makes it the independent reference that the
+  staircase and every fast path are checked against; no production path
+  reads it.
 
 Why the staircase form holds: by induction on ``n``.  Layers below ``min(A)``
 are all losses.  If the layers below are staircases, the wins via one move
@@ -206,12 +211,19 @@ class _Staircase:
             k = np.searchsorted(below, np.arange(s - a + 1, dtype=below.dtype), side="right")
             k[k > s - a] = s + 1
             np.maximum(layer[a:], k, out=layer[a:])
+        layer.flags.writeable = False  # shared by every reader of the memo
         return layer
 
 
 @lru_cache(maxsize=8)
 def _staircase(moves: MoveSet) -> _Staircase:
     return _Staircase(moves)
+
+
+def staircase(moves: MoveSet, n: int) -> list[np.ndarray]:
+    """The memoised read-only layers, at least ``B[0..n]``; ``(s; d, e)`` is a
+    mover win exactly when ``min(e, s) < B[s][min(d, s)]``."""
+    return _staircase(moves).grow(n)
 
 
 def solve_cash(moves: MoveSet, state: CashState, bound: int | None = None) -> SolveResult:
@@ -223,7 +235,7 @@ def solve_cash(moves: MoveSet, state: CashState, bound: int | None = None) -> So
     """
     n, d, e = state.clamped()
     _check_solver_bound(n, bound)
-    layers = _staircase(moves).grow(n)
+    layers = staircase(moves, n)
     # a wins iff the successor (n-a; e, d-a) is lost for its mover
     wins = tuple(
         a for a in moves if a <= min(n, d) and layers[n - a][min(e, n - a)] <= d - a

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 
 from .errors import BadParams, OutOfRange, WrongRegion
 from .game import Funds, MoveSet, Winner, clamp_funds
-from .oracle import CashTable
+from .oracle import staircase
 from .thresholds import CutoffSource, Regime, ThresholdTables, critical_cells, regime
 
 
@@ -260,25 +260,22 @@ def induce_candidate(
     tables: ThresholdTables,
     cert: PeriodCertificate,
     n_max: int,
-    table: CashTable | None = None,
 ) -> tuple[dict[CSTriple, Winner], bool]:
     """Map every critical position's corresponding state to its exact winner.
 
-    Sweeps all critical ``(n, d, e)`` with ``n <= n_max`` against the oracle.
-    The map is extensional only.  ``consistent`` is False when two positions
-    sharing a corresponding state disagree, which refutes the period for
-    solution-set purposes.
+    Sweeps all critical ``(n, d, e)`` with ``n <= n_max``, reading each
+    layer's winners off the staircase oracle in one compare.  The map is
+    extensional only.  ``consistent`` is False when two positions sharing a
+    corresponding state disagree, which refutes the period for solution-set
+    purposes.
     """
     tables.check_range(n_max)
-    if table is None:
-        table = CashTable(moves, n_max)
-    elif n_max > min(table.n_max, table.cap):
-        raise OutOfRange(f"table does not cover n, d, e <= {n_max}")
+    layers = staircase(moves, n_max)
     out: dict[CSTriple, Winner] = {}
     consistent = True
     for n in range(n_max + 1):
         d, e, mover_gap, opp_gap = critical_cells(tables, n)
-        wins = table.win[n, d, e]
+        wins = e < layers[n][d]  # critical budgets are below n: unclamped
         for x, y, win in zip(mover_gap.tolist(), opp_gap.tolist(), wins.tolist()):
             w = Winner.MOVER if win else Winner.OPPONENT
             if out.setdefault(CSTriple(n % cert.period, x, y), w) is not w:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .game import Funds, MoveSet, Winner, _check_funds, clamp_funds
+from .game import Funds, MoveSet, Winner, _check_funds, _check_stones, clamp_funds
 from .errors import OutOfRange, WrongRegion
 from .oracle import standard_winners
 
@@ -57,7 +57,8 @@ class ThresholdTables:
     rich_i_move: np.ndarray
 
     def check_range(self, n: int) -> None:
-        if n < 0 or n > self.n_max:
+        """OutOfRange unless ``0 <= n <= n_max``; NonPositiveValue for a non-integer ``n``."""
+        if not 0 <= _check_stones(n) <= self.n_max:
             raise OutOfRange(f"n={n} outside table range 0..{self.n_max}")
 
     def cutoffs(self, n: int) -> tuple[int, int, bool]:

@@ -278,6 +278,13 @@ class TestVerify:
         assert "FAIL" in out
         assert "violation" in out
 
+    @pytest.mark.parametrize("mode", [("--family", "one-l", "4"), ("-A", "1,4")])
+    @pytest.mark.parametrize("size", [("--box", "-3"), ("--oracle-box", "-5")])
+    def test_negative_size_is_rejected_before_any_output(self, capsys, mode, size):
+        code, out, err = run_cli(capsys, "verify", *mode, *size)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_induced_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "-A", "1,4", "--oracle-box", "60", "--box", "10"

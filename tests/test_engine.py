@@ -71,6 +71,17 @@ class TestDecide:
         with pytest.raises(NonPositiveValue):
             WinEngine(new_move_set(values), 20).decide(10, d, e)
 
+    @pytest.mark.parametrize("values", [(1, 4), (1, 3, 4), (3, 5, 6, 10, 11)])
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10"])
+    def test_stone_count_outside_the_rule_rejected(self, values, n):
+        with pytest.raises(NonPositiveValue):
+            WinEngine(new_move_set(values), 20).decide(n, 3, 3)
+
+    @pytest.mark.parametrize("values", [(1, 4), (3, 5, 6, 10, 11)])
+    def test_numpy_stone_count_accepted(self, values):
+        engine = WinEngine(new_move_set(values), 20)
+        assert engine.decide(np.int64(13), 3, 5) == engine.decide(13, 3, 5)
+
 
 class TestFamilyCutoffSource:
     """Family engines read the closed-form cutoffs, which cover every n."""

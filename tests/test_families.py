@@ -7,6 +7,7 @@ import pytest
 from nimcash import (
     BadParams,
     NonPositiveValue,
+    OutOfRange,
     Winner,
     appendix_check,
     build_thresholds,
@@ -165,6 +166,21 @@ class TestFamilyWin:
         with pytest.raises(NonPositiveValue):
             family_win(one_l(4), 10, d, e)
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10"])
+    def test_stone_count_outside_the_rule_rejected(self, n):
+        with pytest.raises(NonPositiveValue):
+            family_win(one_l(4), n, 3, 3)
+        with pytest.raises(NonPositiveValue):
+            family_solution(one_l(4)).cutoffs(n)
+        with pytest.raises(NonPositiveValue):
+            family_standard(one_l(4), n)
+
+    def test_negative_stone_count_keeps_its_errors(self):
+        with pytest.raises(BadParams):
+            family_win(one_l(4), -1, 3, 3)
+        with pytest.raises(OutOfRange):
+            family_solution(one_l(4)).cutoffs(-1)
+
     @pytest.mark.parametrize("kind", [one_l(4), one_l_l1(3), one_l_l1(4), one_l_l1(5)])
     def test_matches_oracle_on_box(self, kind, cube_cache):
         cube = cube_cache(kind.moves.values, 50)
@@ -209,6 +225,8 @@ class TestConjectureCheck:
             conjecture_check(3, 2)
         with pytest.raises(BadParams):
             conjecture_check(2, 4, n_max=20)
+        with pytest.raises(BadParams):
+            conjecture_check(2, 3, critical_n_max=-5)
 
     def test_offset_is_minimal_with_clean_tail(self):
         report = conjecture_check(1, 2, n_max=200, critical_n_max=40)

@@ -87,6 +87,16 @@ class TestFunds:
         assert CashState(3, np.int64(2), 1).d == 2
         assert str(CashState(14, UNLIMITED, 10)) == "(14;UF,10)"
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+    def test_stone_count_must_be_an_integer(self, n):
+        with pytest.raises(NonPositiveValue):
+            CashState(n, 1, 1)
+
+    def test_numpy_stone_count_accepted(self):
+        assert CashState(np.int32(4), 1, 1).clamped() == (4, 1, 1)
+        with pytest.raises(NonPositiveValue):
+            CashState(np.int64(-1), 1, 1)
+
 
 class TestLegalMoves:
     def test_all_affordable(self):

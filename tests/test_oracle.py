@@ -327,6 +327,14 @@ class TestStaircase:
                     state = CashState(n, d, e)
                     assert solve_cash(ms, state) == cubes[ms].solve(state), (ms, state)
 
+    def test_layers_are_read_only(self):
+        layers = oracle.staircase(new_move_set([1, 3, 4]), 10)
+        assert len(layers) >= 11
+        with pytest.raises(ValueError):
+            layers[5][0] = 1
+        with pytest.raises(ValueError):
+            oracle.staircase(new_move_set([1, 3, 4]), 10)[5][1:] = 0
+
     def test_memo_is_bounded(self):
         size = oracle._staircase.cache_info().maxsize
         assert size == 8

@@ -168,12 +168,11 @@ class TestVerifySolutionSet:
 
 
 class TestInduceCandidate:
-    def test_matches_family_set(self, tables_cache, cube_cache):
+    def test_matches_family_set(self, tables_cache):
         for kind in (one_l(4), one_l_l1(4)):
             t = tables_cache(kind.moves.values, 100)
             cert = family_solution(kind).certificate()
-            table = cube_cache(kind.moves.values, 100)
-            induced, consistent = induce_candidate(kind.moves, t, cert, 100, table)
+            induced, consistent = induce_candidate(kind.moves, t, cert, 100)
             assert consistent
             assert induced
             x = family_solution(kind).solution_set
@@ -187,7 +186,7 @@ class TestInduceCandidate:
         induced, consistent = induce_candidate(ms, t, cert, 2)
         assert induced == {} and consistent
 
-    def test_wrong_period_is_reported_inconsistent(self, tables_cache, cube_cache):
+    def test_wrong_period_is_reported_inconsistent(self, tables_cache):
         """Folding {1,4} onto a bogus period maps one triple to both winners."""
         ms = new_move_set([1, 4])
         t = tables_cache((1, 4), 100)
@@ -195,7 +194,7 @@ class TestInduceCandidate:
         bogus = PeriodCertificate(
             ms, 2, (Winner.MOVER, Winner.MOVER), good.cost_i, good.cost_ii, 0
         )
-        _, consistent = induce_candidate(ms, t, bogus, 100, cube_cache((1, 4), 100))
+        _, consistent = induce_candidate(ms, t, bogus, 100)
         assert not consistent
 
 

@@ -165,6 +165,21 @@ class TestClassify:
         with pytest.raises(OutOfRange):
             classify(t, 21, 3, 3)
 
+    @pytest.mark.parametrize("n", [10.5, True, "10"])
+    def test_stone_count_outside_the_rule_rejected(self, tables_cache, n):
+        t = tables_cache((1, 3, 4), 20)
+        with pytest.raises(NonPositiveValue):
+            t.check_range(n)
+        with pytest.raises(NonPositiveValue):
+            classify(t, n, 3, 3)
+
+    def test_stone_count_range(self, tables_cache):
+        t = tables_cache((1, 3, 4), 20)
+        t.check_range(np.int64(20))
+        for n in (-1, 21, np.int64(-1)):
+            with pytest.raises(OutOfRange):
+                t.check_range(n)
+
     @pytest.mark.parametrize("d, e", [(-3, 2), (2, -1), (False, 2), (2, True), (1.5, 2)])
     def test_budgets_outside_the_rule_rejected(self, tables_cache, d, e):
         t = tables_cache((1, 3, 4), 20)
