@@ -10,9 +10,9 @@ set — decides all of them.  Not every move set cooperates.
 
 from nimcash import (
     CashTable,
+    WinEngine,
     build_thresholds,
     corresponding_state,
-    critical_winner,
     detect_cash_period,
     family_solution,
     new_move_set,
@@ -38,6 +38,7 @@ ms = new_move_set([1, 4])
 tables = build_thresholds(ms, 200)
 sol = family_solution(recognize_family(ms))
 cert = sol.certificate()
+engine = WinEngine(ms, 200)  # decides critical positions by solution-set membership
 
 print("abstracting a critical position of {1,4}:")
 n, d, e = 13, 8, 7
@@ -47,7 +48,7 @@ stepped = step_cs(cert, cs, 1)
 print(f"  removing 1 in gap coordinates: -> "
       f"({stepped.residue}, {stepped.mover_gap}, {stepped.opp_gap})")
 print(f"  solution-set membership says: "
-      f"{critical_winner(cert, sol.solution_set, tables, n, d, e).as_player()} wins")
+      f"{engine.decide(n, d, e).winner.as_player()} wins")
 print()
 
 print("checking the solution set's closure on the whole gap box [0,40]^2:")
@@ -65,7 +66,7 @@ for n in range(61):
     for d in range(g.poor_i, int(tables.rich_i[n])):
         for e in range(g.poor_ii, int(tables.rich_ii[n])):
             total += 1
-            member = critical_winner(cert, sol.solution_set, tables, n, d, e)
+            member = engine.decide(n, d, e).winner
             if member is not cube.winner(n, d, e):
                 bad += 1
 print(f"  {total} critical states, {bad} disagreements")

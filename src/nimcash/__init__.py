@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveValue,
     OutOfRange,
     ResourceLimit,
-    WrongRegion,
 )
 from .families import (
     AppendixReport,
@@ -55,7 +54,6 @@ from .oracle import (
     solve_standard,
     standard_winners,
     wins_miserly,
-    wins_normally,
 )
 from .periodicity import (
     CSTriple,
@@ -64,21 +62,16 @@ from .periodicity import (
     VerificationReport,
     compute_costs,
     corresponding_state,
-    critical_winner,
     detect_cash_period,
     induce_candidate,
     step_cs,
     verify_solution_set,
 )
 from .thresholds import (
-    PoorThresholds,
     Region,
     ThresholdTables,
     build_thresholds,
-    classify,
     poor_thresholds,
-    poor_winner,
-    rich_winner,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +96,6 @@ __all__ = [
     "NonPositiveValue",
     "OutOfRange",
     "PeriodCertificate",
-    "PoorThresholds",
     "Region",
     "ResourceLimit",
     "SolutionSet",
@@ -112,17 +104,14 @@ __all__ = [
     "VerificationReport",
     "WinEngine",
     "Winner",
-    "WrongRegion",
     "appendix_check",
     "apply_move",
     "best_move",
     "build_thresholds",
     "clamp_funds",
-    "classify",
     "compute_costs",
     "conjecture_check",
     "corresponding_state",
-    "critical_winner",
     "detect_cash_period",
     "family_solution",
     "family_standard",
@@ -134,15 +123,12 @@ __all__ = [
     "one_l",
     "one_l_l1",
     "poor_thresholds",
-    "poor_winner",
     "range_standard",
     "recognize_family",
-    "rich_winner",
     "solve_cash",
     "solve_standard",
     "standard_winners",
     "step_cs",
     "verify_solution_set",
     "wins_miserly",
-    "wins_normally",
 ]

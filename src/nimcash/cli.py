@@ -48,7 +48,7 @@ from .periodicity import (
     induce_candidate,
     verify_solution_set,
 )
-from .thresholds import build_thresholds, classify, critical_cells, poor_thresholds, regime
+from .thresholds import build_thresholds, critical_cells, poor_thresholds, regime
 
 
 def parse_move_set(text: str) -> MoveSet:
@@ -146,7 +146,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     e = np.arange(e_hi)[None, :]
     rows = []
     for n in range(n_hi):
-        fi, fii, _ = cutoffs = engine.tables.cutoffs(n)
+        fi, fii, _ = cutoffs = engine.cutoff_source.cutoffs(n)
         r = regime(moves, n, cutoffs, d, e)
         regions, critical = r.region.tolist(), r.critical.tolist()
         # a wins iff (n-a; e, d-a) is lost for its mover; B >= 0, so dc < a never wins
@@ -319,7 +319,8 @@ def cmd_play(args: argparse.Namespace) -> int:
 
     print(f"playing {moves} from {state}; you are Player {args.human}")
     while True:
-        region = classify(engine.tables, state.n, state.d, state.e)
+        cutoffs = engine.cutoff_source.cutoffs(state.n)
+        region = regime(moves, state.n, cutoffs, state.d, state.e).region
         mover_name = "you" if human_to_move else "engine"
         print(f"state {state} [{region.value}] - {mover_name} to move")
         legal = legal_moves(moves, state)

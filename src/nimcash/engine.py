@@ -1,7 +1,9 @@
 """Composite win-condition engine: thresholds first, oracle only as last resort.
 
-``WinEngine`` wires the pieces together for one move set.  Rich and poor
-positions are decided by their cutoffs; critical positions go through a
+``WinEngine`` wires the pieces together for one move set around one cutoff
+source: a recognized family's closed forms, or else the recursion tables,
+which are built only for a move set that is not a solved family.  Rich and
+poor positions are decided by their cutoffs; critical positions go through a
 solution set when one is available (recognized family instances supply
 theirs automatically) and fall back to the staircase oracle otherwise.  The
 engine reports which rule decided each query so callers can explain results.
@@ -13,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRange
 from .families import family_solution, recognize_family
 from .game import CashState, Funds, MoveSet, Winner
 from .oracle import CashTable, SolveResult, solve_cash, staircase
 from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle
-from .thresholds import CutoffSource, Region, ThresholdTables, build_thresholds, regime
+from .thresholds import CutoffSource, Region, build_thresholds, regime
 
 
 @dataclass(frozen=True)
@@ -47,16 +50,19 @@ class WinEngine:
         n_max: int,
         solution: tuple[PeriodCertificate, SolutionSet] | None = None,
     ) -> None:
+        if n_max < 0:
+            raise OutOfRange(f"n_max must be >= 0, got {n_max}")
         self.moves = moves
         self.n_max = n_max
-        self.tables: ThresholdTables = build_thresholds(moves, n_max)
         kind = recognize_family(moves)
         family = None if kind is None else family_solution(kind)
         if solution is None and family is not None:
             solution = (family.certificate(), family.solution_set)
         self.solution = solution
         # a solved family's closed forms cover every n; the tables stop at n_max
-        self.cutoff_source: CutoffSource = self.tables if family is None else family
+        self.cutoff_source: CutoffSource = (
+            build_thresholds(moves, n_max) if family is None else family
+        )
 
     def cube(self) -> CashTable:
         """A fresh dense cube over the engine's range: the independent reference."""

@@ -29,9 +29,5 @@ class OutOfRange(NimCashError):
     """A query fell outside the range a table was built for."""
 
 
-class WrongRegion(NimCashError):
-    """A regime-specific rule was applied outside its regime."""
-
-
 class BadParams(NimCashError):
     """Family or sweep parameters are malformed."""

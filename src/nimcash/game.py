@@ -189,10 +189,10 @@ def apply_move(state: CashState, a: int, moves: MoveSet | None = None) -> CashSt
         raise IllegalMove(f"{a} is not in the move set {moves}")
     if a < 1 or a > state.n:
         raise IllegalMove(f"cannot remove {a} stones from {state.n}")
-    if isinstance(state.d, int):
+    if state.d is UNLIMITED:
+        new_opponent_funds: Funds = UNLIMITED
+    else:
         if a > state.d:
             raise IllegalMove(f"mover cannot afford {a} with {state.d} dollars")
-        new_opponent_funds: Funds = state.d - a
-    else:
-        new_opponent_funds = UNLIMITED
+        new_opponent_funds = state.d - a
     return CashState(state.n - a, state.e, new_opponent_funds)

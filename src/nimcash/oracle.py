@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParams, OutOfRange, ResourceLimit
-from .game import UNLIMITED, CashState, Funds, MoveSet, Winner, clamp_funds
+from .game import CashState, Funds, MoveSet, Winner, clamp_funds
 
 #: Environment variable overriding the default single-query solver bound.
 BOUND_ENV_VAR = "NIMCASH_MAX_N"
@@ -244,12 +244,6 @@ def solve_cash(moves: MoveSet, state: CashState, bound: int | None = None) -> So
     return SolveResult(winner, wins, _plies_bound(moves, n))
 
 
-def wins_normally(moves: MoveSet, n: int, d: Funds, bound: int | None = None) -> bool:
-    """Does the mover win ``(n; d, UF)``, i.e. with this budget against a rich opponent?"""
-    result = solve_cash(moves, CashState(n, d, UNLIMITED), bound=bound)
-    return result.winner is Winner.MOVER
-
-
 def wins_miserly(moves: MoveSet, state: CashState, who: Winner) -> bool:
     """Does ``who`` win when forced to remove the minimum amount every turn?
 
@@ -259,29 +253,27 @@ def wins_miserly(moves: MoveSet, state: CashState, who: Winner) -> bool:
     """
     n, d, e = state.clamped()
     a1 = moves.a_min
-    if who is Winner.MOVER:
-        des_funds, free_funds, des_to_move = d, e, True
-    else:
-        des_funds, free_funds, des_to_move = e, d, False
-
-    # des_turn[s][k] / free_turn[s][k]: designated player wins with s stones
-    # left after k designated moves (so the free side has spent n-s-k*a1)?
-    des_turn: dict[tuple[int, int], bool] = {}
-    free_turn: dict[tuple[int, int], bool] = {}
+    des_funds, free_funds = (d, e) if who is Winner.MOVER else (e, d)
+    # des[s][k] / free[s][k]: does the designated player win with s stones
+    # left after k designated moves (so the free side has spent n-s-k*a1),
+    # with the designated / the free player to move?
+    des: list[np.ndarray] = []
+    free: list[np.ndarray] = []
     for s in range(n + 1):
-        t = n - s
-        for k in range(t // a1 + 1):
-            if des_funds - k * a1 < a1 or s < a1:
-                des_turn[(s, k)] = False
-            else:
-                des_turn[(s, k)] = free_turn[(s - a1, k + 1)]
-            free_left = free_funds - (t - k * a1)
-            replies = [a for a in moves if a <= s and a <= free_left]
-            if not replies:
-                free_turn[(s, k)] = True
-            else:
-                free_turn[(s, k)] = all(des_turn[(s - a, k)] for a in replies)
-    return des_turn[(n, 0)] if des_to_move else free_turn[(n, 0)]
+        spent = a1 * np.arange((n - s) // a1 + 1)  # the designated side's spending
+        if s < a1:
+            des.append(np.zeros(spent.size, dtype=bool))
+        else:
+            des.append((des_funds - spent >= a1) & free[s - a1][1 : spent.size + 1])
+        free_left = free_funds - (n - s) + spent
+        # an unaffordable move refutes nothing: a free side with no move has lost
+        wins = np.ones(spent.size, dtype=bool)
+        for a in moves:
+            if a > s:
+                break
+            wins &= (free_left < a) | des[s - a][: spent.size]
+        free.append(wins)
+    return bool(des[n][0] if who is Winner.MOVER else free[n][0])
 
 
 def best_move(moves: MoveSet, state: CashState, bound: int | None = None) -> int | None:

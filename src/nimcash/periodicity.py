@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import BadParams, OutOfRange, WrongRegion
-from .game import Funds, MoveSet, Winner, clamp_funds
+from .errors import BadParams, OutOfRange
+from .game import UNLIMITED, Funds, MoveSet, Winner, _check_funds
 from .oracle import staircase
 from .thresholds import CutoffSource, Regime, ThresholdTables, critical_cells, regime
 
@@ -139,14 +139,15 @@ def corresponding_state(
     """Abstract a position to (residue, mover gap, opponent gap).
 
     The gaps are measured from ``source.cutoffs(n)``: recursion tables, or a
-    solved family's closed forms.  Finite budgets enter the gap arithmetic
-    unclamped; clamping is winner-preserving but would break the step
-    identity, since a budget may exceed the stone count mid-line.  An
-    unlimited budget stands in as ``n``.
+    solved family's closed forms.  Finite budgets (Python or numpy integers
+    >= 0, else :class:`NonPositiveValue`) enter the gap arithmetic unclamped;
+    clamping is winner-preserving but would break the step identity, since a
+    budget may exceed the stone count mid-line.  An unlimited budget stands
+    in as ``n``.
     """
     fi, fii, _ = source.cutoffs(n)
-    dc = d if isinstance(d, int) else clamp_funds(d, n)
-    ec = e if isinstance(e, int) else clamp_funds(e, n)
+    dc = n if d is UNLIMITED else int(_check_funds(d))
+    ec = n if e is UNLIMITED else int(_check_funds(e))
     return CSTriple(n % cert.period, fi - 1 - dc, fii - 1 - ec)
 
 
@@ -281,21 +282,6 @@ def induce_candidate(
             if out.setdefault(CSTriple(n % cert.period, x, y), w) is not w:
                 consistent = False
     return out, consistent
-
-
-def critical_winner(
-    cert: PeriodCertificate,
-    candidate: SolutionSet,
-    tables: ThresholdTables,
-    n: int,
-    d: Funds,
-    e: Funds,
-) -> Winner:
-    """Decide a critical position by solution-set membership."""
-    _, state, wins = _settle(tables, (cert, candidate), n, d, e)
-    if state is None:
-        raise WrongRegion(f"({n};{d},{e}) is not critical")
-    return Winner.MOVER if wins else Winner.OPPONENT
 
 
 def _settle(

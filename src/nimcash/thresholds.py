@@ -7,15 +7,20 @@ For each stone count ``n`` there are two pairs of cutoffs:
   binds.  At or above the cutoff a player is *rich* and the winner follows
   from the cutoffs alone.
 * ``poor_i(n)`` / ``poor_ii(n)``: closed-form cutoffs (depending only on the
-  minimum removal amount) below which a player is *poor*; poor games are
-  decided by comparing how many minimum moves each side can still afford.
+  minimum removal amount, read by :func:`poor_thresholds`) below which a
+  player is *poor*; poor games are decided by comparing how many minimum
+  moves each side can still afford.
 
 Positions where neither rule applies (each player between their cutoffs) are
-*critical*; those are handled by the periodicity machinery.
+*critical*: the rectangle ``[poor_i, rich_i) x [poor_ii, rich_ii)`` of each
+layer, listed by :func:`critical_cells` and handled by the periodicity
+machinery.
 
-:func:`regime` is the one place that compares budgets with the cutoffs.  The
-rich cutoffs come from ``cutoffs(n)`` of :class:`ThresholdTables` (the
-recursion, up to ``n_max``) or of a solved family (closed forms, any ``n``).
+:func:`regime` is the one place that compares budgets with the cutoffs, and
+the one decider of this module: callers read its region and mover-wins
+directly.  The rich cutoffs come from ``cutoffs(n)`` of
+:class:`ThresholdTables` (the recursion, up to ``n_max``) or of a solved
+family (closed forms, any ``n``).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .game import Funds, MoveSet, Winner, _check_funds, _check_stones, clamp_funds
-from .errors import OutOfRange, WrongRegion
+from .game import MoveSet, _check_funds, _check_stones, clamp_funds
+from .errors import OutOfRange
 from .oracle import standard_winners
 
 
@@ -67,8 +72,9 @@ class ThresholdTables:
         return int(self.rich_i[n]), int(self.rich_ii[n]), bool(self.winners[n])
 
 
-@dataclass(frozen=True)
-class PoorThresholds:
+class PoorCutoffs(NamedTuple):
+    """``(poor_i, poor_ii)`` at one ``n``: below them a player is poor."""
+
     poor_i: int
     poor_ii: int
 
@@ -156,18 +162,14 @@ def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
     return ThresholdTables(moves, n_max, winners, rich_i, rich_ii, witness)
 
 
-def poor_thresholds(moves: MoveSet, n: int) -> PoorThresholds:
+def poor_thresholds(moves: MoveSet, n: int) -> PoorCutoffs:
     """Closed-form poor cutoffs; they depend on the move set only through min(A)."""
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
-    return PoorThresholds(*_poor_cutoffs(moves.a_min, n))
-
-
-def _poor_cutoffs(a1: int, n: int) -> tuple[int, int]:
-    """``(poor_i, poor_ii)`` at ``n`` for minimum removal ``a1``, as plain ints."""
+    a1 = moves.a_min
     i = n % (2 * a1)
     half = (n - i) // 2
-    return half + min(i + 1, a1), half + max(0, i - a1 + 1)
+    return PoorCutoffs(half + min(i + 1, a1), half + max(0, i - a1 + 1))
 
 
 def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regime:
@@ -186,7 +188,7 @@ def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regi
     dc = np.minimum(d, n) if isinstance(d, np.ndarray) else clamp_funds(_check_funds(d), n)
     ec = np.minimum(e, n) if isinstance(e, np.ndarray) else clamp_funds(_check_funds(e), n)
     a1 = moves.a_min
-    poor_i, poor_ii = _poor_cutoffs(a1, n)
+    poor_i, poor_ii = poor_thresholds(moves, n)
     rich_d, rich_e = dc >= fi, ec >= fii
     poor_d, poor_e = dc < poor_i, ec < poor_ii
     # complements are spelled as comparisons: ``~`` on a Python bool gives an int
@@ -198,44 +200,18 @@ def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regi
     return Regime(code, mover_wins)
 
 
-def classify(tables: ThresholdTables, n: int, d: Funds, e: Funds) -> Region:
-    """Assign a position to its regime; rich checks take precedence.
-
-    Budgets are clamped to ``n`` first.  When neither player is rich and
-    neither is poor the position is critical: each budget sits in the gap
-    between its poor and rich cutoffs.
-    """
-    return regime(tables.moves, n, tables.cutoffs(n), d, e).region
-
-
-def rich_winner(tables: ThresholdTables, n: int, d: Funds, e: Funds) -> Winner:
-    """Winner when at least one player is rich; raises WrongRegion otherwise."""
-    r = regime(tables.moves, n, tables.cutoffs(n), d, e)
-    if not r.region.rich:
-        raise WrongRegion(f"({n};{d},{e}) is {r.region.value}, not a rich position")
-    return Winner.MOVER if r.mover_wins else Winner.OPPONENT
-
-
-def poor_winner(moves: MoveSet, n: int, d: Funds, e: Funds) -> Winner:
-    """Winner when at least one player is poor; raises WrongRegion otherwise.
-
-    Rich cutoffs play no part here: they are set above every clamped budget.
-    """
-    r = regime(moves, n, (n + 1, n + 1, False), d, e)
-    if r.critical:
-        raise WrongRegion(f"({n};{d},{e}) has no poor player")
-    return Winner.MOVER if r.mover_wins else Winner.OPPONENT
-
-
-def critical_cells(tables: ThresholdTables, n: int) -> tuple[np.ndarray, ...]:
+def critical_cells(source: CutoffSource, n: int) -> tuple[np.ndarray, ...]:
     """Budgets ``d``, ``e`` and gaps of the critical positions with ``n`` stones.
 
-    Four int arrays in ``(d, e)`` order; the gaps are ``rich_i - 1 - d`` and
-    ``rich_ii - 1 - e``.  Critical budgets lie below the rich cutoffs, which
-    never exceed ``n``, so the grid searched stops there.
+    Four int arrays in row-major ``(d, e)`` order; the gaps are
+    ``rich_i - 1 - d`` and ``rich_ii - 1 - e``.  The critical cells are the
+    rectangle ``[poor_i, rich_i) x [poor_ii, rich_ii)``, empty when a poor
+    cutoff reaches its rich one; the rich cutoffs never exceed ``n``, so no
+    budget in it is clamped.
     """
-    cutoffs = tables.cutoffs(n)
-    fi, fii, _ = cutoffs
-    grid = regime(tables.moves, n, cutoffs, np.arange(fi)[:, None], np.arange(fii)[None, :])
-    d, e = np.nonzero(grid.critical)
+    fi, fii, _ = source.cutoffs(n)
+    poor_i, poor_ii = poor_thresholds(source.moves, n)
+    d, e = np.indices((max(fi - poor_i, 0), max(fii - poor_ii, 0))).reshape(2, -1)
+    d += poor_i
+    e += poor_ii
     return d, e, fi - 1 - d, fii - 1 - e

@@ -1,8 +1,10 @@
-"""Differential test: four routes to the winner of one position must agree.
+"""Differential tests: fast solvers against the plain recursive reference.
 
 Hypothesis draws a move set from the subsets of 1..7 and a state with at most
 40 stones.  The plain recursive reference, the dense cube, the staircase
-behind ``solve_cash`` and ``WinEngine.decide`` are compared.  Runs are
+behind ``solve_cash`` and ``WinEngine.decide`` are compared; so are
+``wins_miserly`` and its recursive reference, for either designated player
+and with move sets drawn from 1..7 and from 2..7 (``min(A) >= 2``).  Runs are
 derandomized, so the examples are the same on every run.
 """
 
@@ -13,12 +15,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nimcash import CashState, CashTable, WinEngine, Winner, new_move_set, solve_cash  # noqa: E402
-from reference import ref_mover_wins  # noqa: E402
+from nimcash import (  # noqa: E402
+    CashState,
+    CashTable,
+    WinEngine,
+    Winner,
+    new_move_set,
+    solve_cash,
+    wins_miserly,
+)
+from reference import ref_mover_wins, ref_wins_miserly  # noqa: E402
 
 N_MAX = 40
 
 move_sets = st.sets(st.integers(1, 7), min_size=1).map(lambda s: tuple(sorted(s)))
+no_unit_move_sets = st.sets(st.integers(2, 7), min_size=1).map(lambda s: tuple(sorted(s)))
 budgets = st.integers(0, N_MAX + 2)
 
 
@@ -34,3 +45,17 @@ def test_reference_cube_staircase_and_engine_agree(values, n, d, e):
     assert (cube.winner is Winner.MOVER) == want
     assert solved == cube
     assert decided.winner is cube.winner
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    values=st.one_of(move_sets, no_unit_move_sets),
+    n=st.integers(0, N_MAX),
+    d=budgets,
+    e=budgets,
+    mover_designated=st.booleans(),
+)
+def test_miserly_matches_reference(values, n, d, e, mover_designated):
+    who = Winner.MOVER if mover_designated else Winner.OPPONENT
+    got = wins_miserly(new_move_set(values), CashState(n, d, e), who)
+    assert got == ref_wins_miserly(values, n, d, e, mover_designated)

@@ -18,6 +18,7 @@ from nimcash import (
     poor_thresholds,
     recognize_family,
 )
+from nimcash import engine as engine_module
 
 
 class TestDecide:
@@ -122,6 +123,22 @@ class TestFamilyCutoffSource:
     def test_negative_stone_count_is_out_of_range(self):
         with pytest.raises(OutOfRange):
             WinEngine(new_move_set([1, 4]), 20).decide(-1, 3, 3)
+
+    @pytest.mark.parametrize("values", [(1, 4), (1, 4, 5)])
+    def test_family_engine_builds_no_tables(self, values, monkeypatch, cube_cache):
+        def refuse(*args):
+            raise AssertionError("a family engine built recursion tables")
+
+        monkeypatch.setattr(engine_module, "build_thresholds", refuse)
+        engine = WinEngine(new_move_set(values), 30)
+        assert engine.cutoff_source is family_solution(recognize_family(engine.moves))
+        assert engine.decide(13, 8, 7).winner is cube_cache(values, 30).winner(13, 8, 7)
+        assert (engine.sweep(30, 30, 30) == cube_cache(values, 30).win).all()
+
+    def test_negative_n_max_rejected(self):
+        for values in [(1, 4), (2, 3)]:
+            with pytest.raises(OutOfRange):
+                WinEngine(new_move_set(values), -1)
 
 
 class TestSweep:

@@ -135,6 +135,12 @@ class TestApplyMove:
         with pytest.raises(IllegalMove):
             apply_move(CashState(10, 2, 9), 3)
 
+    def test_numpy_budget_is_finite(self):
+        with pytest.raises(IllegalMove):
+            apply_move(CashState(10, np.int64(2), 3), 4)
+        s = apply_move(CashState(10, np.int64(6), 3), 4)
+        assert s == CashState(6, 3, 2) and s.e is not UNLIMITED
+
     def test_not_in_move_set(self):
         with pytest.raises(IllegalMove):
             apply_move(CashState(10, 9, 9), 2, new_move_set([1, 3, 4]))

@@ -21,7 +21,6 @@ from nimcash import (
     solve_standard,
     standard_winners,
     wins_miserly,
-    wins_normally,
 )
 from nimcash import oracle
 from reference import ref_mover_wins, ref_standard_wins, ref_wins_miserly
@@ -120,16 +119,22 @@ class TestSolveStandard:
 
 
 class TestWinsNormally:
+    """The mover's win with budget ``d`` against a rich (unlimited) opponent."""
+
+    @staticmethod
+    def wins(ms, n, d):
+        return solve_cash(ms, CashState(n, d, UNLIMITED)).winner is Winner.MOVER
+
     def test_examples(self):
         ms = new_move_set([1, 3, 4])
-        assert wins_normally(ms, 10, 7)
+        assert self.wins(ms, 10, 7)
         for d in [0, 5, 9, 14, 50]:
-            assert not wins_normally(ms, 14, d)
+            assert not self.wins(ms, 14, d)
 
     def test_just_below_threshold(self):
         # {1,4}: the mover's cutoff at n=13 is 10, so 9 loses against a rich opponent
-        assert not wins_normally(new_move_set([1, 4]), 13, 9)
-        assert wins_normally(new_move_set([1, 4]), 13, 10)
+        assert not self.wins(new_move_set([1, 4]), 13, 9)
+        assert self.wins(new_move_set([1, 4]), 13, 10)
 
 
 class TestWinsMiserly:

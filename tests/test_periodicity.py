@@ -1,19 +1,21 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from nimcash import (
+    UNLIMITED,
     CashState,
     CSTriple,
+    NonPositiveValue,
     OutOfRange,
     PeriodCertificate,
     SolutionSet,
+    WinEngine,
     Winner,
-    WrongRegion,
     apply_move,
     compute_costs,
     corresponding_state,
-    critical_winner,
     detect_cash_period,
     family_solution,
     induce_candidate,
@@ -102,6 +104,18 @@ class TestCorrespondingState:
             d = int(t.rich_i[n]) - 1
             cs = corresponding_state(cert, t, n, d, 3)
             assert cs.mover_gap == 0
+
+    def test_budgets_are_checked_and_never_clamped(self, tables_cache):
+        """Python and numpy budgets give one gap, past ``n`` too; UF stands in as ``n``."""
+        t = tables_cache((1, 4), 40)
+        cert = family_solution(one_l(4)).certificate()
+        fi = int(t.rich_i[10])
+        assert corresponding_state(cert, t, 10, 50, 3).mover_gap == fi - 51
+        assert corresponding_state(cert, t, 10, np.int64(50), 3).mover_gap == fi - 51
+        assert corresponding_state(cert, t, 10, UNLIMITED, 3).mover_gap == fi - 11
+        for d, e in [(-5, 3), (3, 3.5), (True, 3), (np.int64(-1), 3)]:
+            with pytest.raises(NonPositiveValue):
+                corresponding_state(cert, t, 10, d, e)
 
     def test_critical_states_have_nonnegative_gaps(self, tables_cache):
         t = tables_cache((1, 5, 6), 60)
@@ -199,26 +213,22 @@ class TestInduceCandidate:
 
 
 class TestCriticalWinner:
-    def test_example(self, tables_cache):
-        t = tables_cache((1, 4), 40)
-        sol = family_solution(one_l(4))
-        w = critical_winner(sol.certificate(), sol.solution_set, t, 13, 8, 7)
-        assert w is Winner.MOVER
+    def test_example(self):
+        decision = WinEngine(new_move_set([1, 4]), 40).decide(13, 8, 7)
+        assert decision.method == "critical" and decision.winner is Winner.MOVER
 
     def test_agrees_with_oracle_on_critical_box(self, tables_cache, cube_cache):
-        sol = family_solution(one_l_l1(5))
+        engine = WinEngine(new_move_set([1, 5, 6]), 60)
         t = tables_cache((1, 5, 6), 60)
         cube = cube_cache((1, 5, 6), 60)
-        cert = sol.certificate()
         for n in range(61):
             g = poor_thresholds(t.moves, n)
             for d in range(g.poor_i, int(t.rich_i[n])):
                 for e in range(g.poor_ii, int(t.rich_ii[n])):
-                    got = critical_winner(cert, sol.solution_set, t, n, d, e)
-                    assert got is cube.winner(n, d, e), (n, d, e)
+                    decision = engine.decide(n, d, e)
+                    assert decision.method == "critical", (n, d, e)
+                    assert decision.winner is cube.winner(n, d, e), (n, d, e)
 
-    def test_wrong_region(self, tables_cache):
-        t = tables_cache((1, 4), 40)
-        sol = family_solution(one_l(4))
-        with pytest.raises(WrongRegion):
-            critical_winner(sol.certificate(), sol.solution_set, t, 13, 12, 2)
+    def test_wrong_region(self):
+        decision = WinEngine(new_move_set([1, 4]), 40).decide(13, 12, 2)
+        assert decision.method == "rich" and decision.cs is None

@@ -9,18 +9,29 @@ from nimcash import (
     OutOfRange,
     Region,
     Winner,
-    WrongRegion,
     build_thresholds,
-    classify,
     new_move_set,
     poor_thresholds,
-    poor_winner,
-    rich_winner,
 )
 from nimcash import oracle
+from nimcash.thresholds import critical_cells, regime
 
 CORPUS = [(1, 4), (1, 6), (1, 5, 6), (1, 4, 5), (1, 3, 4), (3, 5, 6, 10, 11)]
 CORPUS_STAIRCASE = [(1, 3, 4), (3, 5, 6, 10, 11), (2, 3), (1, 4, 5), (1, 2, 5), (1, 6), (2, 5, 7)]
+
+
+def regime_at(t, n, d, e):
+    """The regime of ``(n; d, e)`` under the recursion tables ``t``."""
+    return regime(t.moves, n, t.cutoffs(n), d, e)
+
+
+def winner_of(r):
+    return Winner.MOVER if r.mover_wins else Winner.OPPONENT
+
+
+def poor_rule(ms, n, d, e):
+    """The poor rule alone: rich cutoffs set above every clamped budget."""
+    return regime(ms, n, (n + 1, n + 1, False), d, e)
 
 
 class TestBuildThresholds:
@@ -138,32 +149,32 @@ class TestPoorThresholds:
 class TestClassify:
     def test_rich_one_side(self, tables_cache):
         t = tables_cache((1, 4), 20)
-        assert classify(t, 13, 12, 2) is Region.RICH_I
+        assert regime_at(t, 13, 12, 2).region is Region.RICH_I
 
     def test_critical(self, tables_cache):
         t = tables_cache((1, 4), 20)
-        assert classify(t, 13, 8, 7) is Region.CRITICAL
+        assert regime_at(t, 13, 8, 7).region is Region.CRITICAL
 
     def test_rich_precedence_over_poor(self, tables_cache):
         # (5;0,9) satisfies both the poor-II and rich-II hypotheses; rich wins
         t = tables_cache((1, 4), 20)
-        assert classify(t, 5, 0, 9) is Region.RICH_II
+        assert regime_at(t, 5, 0, 9).region is Region.RICH_II
 
     def test_unlimited_clamped(self, tables_cache):
         t = tables_cache((1, 3, 4), 20)
-        assert classify(t, 14, UNLIMITED, 10) is Region.RICH_BOTH
+        assert regime_at(t, 14, UNLIMITED, 10).region is Region.RICH_BOTH
 
     def test_total_on_box(self, tables_cache):
         t = tables_cache((1, 4, 5), 30)
         for n in range(31):
             for d in range(31):
                 for e in range(31):
-                    assert classify(t, n, d, e) in Region
+                    assert regime_at(t, n, d, e).region in Region
 
     def test_out_of_range(self, tables_cache):
         t = tables_cache((1, 4), 20)
         with pytest.raises(OutOfRange):
-            classify(t, 21, 3, 3)
+            regime_at(t, 21, 3, 3)
 
     @pytest.mark.parametrize("n", [10.5, True, "10"])
     def test_stone_count_outside_the_rule_rejected(self, tables_cache, n):
@@ -171,7 +182,7 @@ class TestClassify:
         with pytest.raises(NonPositiveValue):
             t.check_range(n)
         with pytest.raises(NonPositiveValue):
-            classify(t, n, 3, 3)
+            regime_at(t, n, 3, 3)
 
     def test_stone_count_range(self, tables_cache):
         t = tables_cache((1, 3, 4), 20)
@@ -184,50 +195,52 @@ class TestClassify:
     def test_budgets_outside_the_rule_rejected(self, tables_cache, d, e):
         t = tables_cache((1, 3, 4), 20)
         with pytest.raises(NonPositiveValue):
-            classify(t, 10, d, e)
+            regime_at(t, 10, d, e)
         with pytest.raises(NonPositiveValue):
-            poor_winner(t.moves, 10, d, e)
+            poor_rule(t.moves, 10, d, e)
 
 
 class TestRichWinner:
     def test_rich_mover_wins(self, tables_cache):
         t = tables_cache((1, 4), 20)
-        assert rich_winner(t, 13, 12, 2) is Winner.MOVER
+        r = regime_at(t, 13, 12, 2)
+        assert r.region.rich and winner_of(r) is Winner.MOVER
 
     def test_rich_both_follows_standard_game(self, tables_cache):
         t = tables_cache((1, 4), 20)
-        assert rich_winner(t, 10, 20, 20) is Winner.OPPONENT
+        r = regime_at(t, 10, 20, 20)
+        assert r.region.rich and winner_of(r) is Winner.OPPONENT
 
     def test_worked_example_rich_state(self, tables_cache):
         t = tables_cache((1, 3, 4), 20)
-        assert rich_winner(t, 14, UNLIMITED, 10) is Winner.OPPONENT
+        r = regime_at(t, 14, UNLIMITED, 10)
+        assert r.region.rich and winner_of(r) is Winner.OPPONENT
 
     def test_wrong_region(self, tables_cache):
         t = tables_cache((1, 4), 20)
-        with pytest.raises(WrongRegion):
-            rich_winner(t, 13, 8, 7)
+        assert not regime_at(t, 13, 8, 7).region.rich
 
 
 class TestPoorWinner:
     def test_both_poor_tie_loses(self):
-        assert poor_winner(new_move_set([1, 3, 4]), 14, 4, 4) is Winner.OPPONENT
+        r = poor_rule(new_move_set([1, 3, 4]), 14, 4, 4)
+        assert not r.critical and winner_of(r) is Winner.OPPONENT
 
     def test_poor_mover_against_funded_opponent(self):
         ms = new_move_set([3, 5, 6, 10, 11])
-        assert poor_winner(ms, 20, 2, 9) is Winner.OPPONENT
+        assert winner_of(poor_rule(ms, 20, 2, 9)) is Winner.OPPONENT
 
     def test_both_poor_margin_wins(self):
-        assert poor_winner(new_move_set([1, 4]), 9, 3, 2) is Winner.MOVER
+        assert winner_of(poor_rule(new_move_set([1, 4]), 9, 3, 2)) is Winner.MOVER
 
     def test_wrong_region(self):
-        with pytest.raises(WrongRegion):
-            poor_winner(new_move_set([1, 4]), 9, 9, 9)
+        assert poor_rule(new_move_set([1, 4]), 9, 9, 9).critical
 
     def test_minimum_move_counting(self):
         ms = new_move_set([3, 5])
         # both poor at n=30 (cutoffs 16/15): compare floor(d/3) vs floor(e/3)
-        assert poor_winner(ms, 30, 8, 5) is Winner.MOVER
-        assert poor_winner(ms, 30, 5, 5) is Winner.OPPONENT
+        assert winner_of(poor_rule(ms, 30, 8, 5)) is Winner.MOVER
+        assert winner_of(poor_rule(ms, 30, 5, 5)) is Winner.OPPONENT
 
 
 class TestRegimeAgreement:
@@ -235,15 +248,27 @@ class TestRegimeAgreement:
     def test_non_critical_regions_match_oracle(self, values, tables_cache, cube_cache):
         t = tables_cache(values, 40)
         cube = cube_cache(values, 40)
-        ms = t.moves
         for n in range(41):
             for d in range(41):
                 for e in range(41):
-                    region = classify(t, n, d, e)
-                    if region is Region.CRITICAL:
+                    r = regime_at(t, n, d, e)
+                    if r.critical:
                         continue
-                    if region in (Region.RICH_I, Region.RICH_II, Region.RICH_BOTH):
-                        got = rich_winner(t, n, d, e)
-                    else:
-                        got = poor_winner(ms, n, d, e)
-                    assert got is cube.winner(n, d, e), (values, n, d, e, region)
+                    assert winner_of(r) is cube.winner(n, d, e), (values, n, d, e, r.region)
+
+
+class TestCriticalCells:
+    @pytest.mark.parametrize("values", CORPUS_STAIRCASE)
+    def test_rectangle_is_the_regime_critical_grid(self, values, tables_cache):
+        """The poor-to-rich rectangle lists exactly the cells ``regime`` calls
+        critical over the whole ``[0, rich_i) x [0, rich_ii)`` grid, in
+        row-major order, with their gaps."""
+        t = tables_cache(values, 300)
+        for n in range(301):
+            fi, fii, _ = t.cutoffs(n)
+            grid = regime_at(t, n, np.arange(fi)[:, None], np.arange(fii)[None, :])
+            want_d, want_e = np.nonzero(grid.critical)
+            d, e, mover_gap, opp_gap = critical_cells(t, n)
+            assert np.array_equal(d, want_d) and np.array_equal(e, want_e), (values, n)
+            assert np.array_equal(mover_gap, fi - 1 - want_d), (values, n)
+            assert np.array_equal(opp_gap, fii - 1 - want_e), (values, n)
