@@ -11,7 +11,8 @@ Subcommands:
 * ``play``       play against the engine in a terminal loop
 
 All output is deterministic for a fixed invocation.  ``NIMCASH_MAX_N``
-overrides the default single-position solver bound (2048).
+overrides the default single-position solver bound (2048), which also caps
+every stone count the staircase oracle is grown to (about n^2 bytes).
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ from .oracle import _check_solver_bound, _solver_bound, best_move, solve_cash, s
 from .periodicity import (
     CSTriple,
     SolutionSet,
+    covered_box,
+    critical_layers,
     detect_cash_period,
     induce_candidate,
     verify_solution_set,
 )
-from .thresholds import build_thresholds, critical_cells, poor_thresholds, regime
+from .thresholds import build_thresholds, poor_thresholds, regime
 
 
 def parse_move_set(text: str) -> MoveSet:
@@ -193,6 +196,8 @@ _FAMILY_BUILDERS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_sizes(("--box", args.box), ("--oracle-box", args.oracle_box))
+    _check_solver_bound(args.oracle_box)  # the staircase takes about n^2 bytes
+    covered = None
     if args.family:
         name = args.family[0]
         try:
@@ -205,10 +210,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise NimCashError("one-ll-odd needs odd L")
         if name == "one-ll-even" and L % 2:
             raise NimCashError("one-ll-even needs even L")
-        kind = _FAMILY_BUILDERS[name](L)
-        sol = family_solution(kind)
+        sol = family_solution(_FAMILY_BUILDERS[name](L))
         cert, candidate = sol.certificate(), sol.solution_set
-        moves = kind.moves
         box = args.box if args.box is not None else 10 * L
     elif args.set:
         moves = parse_move_set(args.set)
@@ -219,6 +222,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("FAIL: no cash period detected; nothing to verify")
             return 1
         induced, consistent = induce_candidate(moves, tables, cert, args.oracle_box)
+        covered = covered_box(cert, induced)  # past it, unmet triples would read as losses
+        if consistent and 0 <= covered < (args.box or 0):
+            raise BadParams(f"--box {args.box} is past the gap box {covered} the map covers")
         print(
             f"induced candidate from {len(induced)} corresponding states; "
             f"consistent={consistent}"
@@ -226,17 +232,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not consistent:
             print("FAIL: corresponding states map to both winners")
             return 1
+        if covered < 0:
+            print("FAIL: the induced map covers no gap box; raise --oracle-box")
+            return 1
         members = {cs for cs, w in induced.items() if w is Winner.MOVER}
         candidate = SolutionSet(
             lambda i, b, b2: CSTriple(i, b, b2) in members,
             "induced from the oracle (non-members outside the sampled range)",
         )
-        box = args.box if args.box is not None else 20
+        box = covered if args.box is None else args.box
     else:
         raise NimCashError("verify needs --family NAME L or --set A")
 
     report = verify_solution_set(cert, candidate, box)
-    print(f"closure check on box {report.box}: {report.checked} triples")
+    where = f"box {report.box}" if covered is None else f"box {report.box} (covered: {covered})"
+    print(f"closure check on {where}: {report.checked} triples")
     for v in report.violations[:5]:
         print(
             f"  violation[{v.clause}] at (i={v.triple.residue}, "
@@ -246,13 +256,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle_ok = True
     if args.family:
         n_hi = args.oracle_box
-        tables = build_thresholds(moves, n_hi)
-        layers = staircase(moves, n_hi)
-        mismatches = 0
-        for n in range(n_hi + 1):
-            d, e, mover_gap, opp_gap = critical_cells(tables, n)
+        mismatches = 0  # measured from the closed forms, which family_win decides with
+        for n, _, _, mover_gap, opp_gap, wins in critical_layers(sol, n_hi):
             member = candidate.contains(n % cert.period, mover_gap, opp_gap)
-            mismatches += int(np.count_nonzero(member != (e < layers[n][d])))
+            mismatches += int(np.count_nonzero(member != wins))
         print(f"oracle agreement on critical states n <= {n_hi}: {mismatches} mismatches")
         oracle_ok = mismatches == 0
     passed = report.passed and oracle_ok
@@ -263,6 +270,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ conjecture
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    _check_solver_bound(args.critical_n_max)  # the staircase takes about n^2 bytes
     report = conjecture_check(args.L, args.M, args.n_max, args.critical_n_max)
     print(f"A = {{{args.L}..{args.M}}}, scanned n <= {report.n_max}")
     if report.theta is None:
@@ -392,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one of one-l / one-ll-odd / one-ll-even, plus L",
     )
     s.add_argument("-A", "--set", help="detect + induce for an arbitrary set")
-    s.add_argument("--box", type=int, help="gap box bound (default 10*L)")
+    s.add_argument("--box", type=int, help="gap box bound (default 10*L; with -A, the covered box)")
     s.add_argument("--oracle-box", type=int, default=80,
                    help="stone bound for oracle agreement")
     s.add_argument("--m-max", type=int, default=64,

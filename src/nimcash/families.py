@@ -7,14 +7,14 @@ Three families have complete budget-aware win conditions:
 * ``{1, L, L+1}`` with ``L`` even (modulus ``2L``).
 
 Each family is data for the generic pipeline: its loser residues, closed
-forms for the rich cutoffs, and a solution set.  The period certificate is
-not written out: its winner pattern comes from the loser residues and its
-cost tables from the closed-form cutoffs, through the same identity that
-:func:`~nimcash.periodicity.compute_costs` applies to the recursion tables.
-Decisions go through the same critical-position step as ``WinEngine``.  The
-test suite checks the closed forms against the recursion, the derived
-certificate against period detection, and the solution sets against the
-oracle.
+forms for the rich cutoffs, and a solution set given as integer rows, one
+per residue (:meth:`~nimcash.periodicity.SolutionSet.from_rows`), whose
+offsets follow from ``L``.  The period certificate is not written out:
+period detection's own routine reads it off the closed-form cutoffs over a
+short window, and so checks that they are residue-constant.  Decisions go
+through the same critical-position step as ``WinEngine``.  The test suite
+checks the closed forms against the recursion, the certificate against
+period detection, and the solution sets against the oracle.
 
 Two report-only harnesses cover open territory.  ``conjecture_check`` probes
 interval sets ``{L..M}`` for an offset beyond which the cutoffs repeat with
@@ -33,9 +33,15 @@ import numpy as np
 
 from .errors import BadParams, OutOfRange
 from .game import Funds, MoveSet, Winner, _check_stones, new_move_set
-from .oracle import staircase
-from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle, compute_costs
-from .thresholds import build_thresholds, critical_cells
+from .periodicity import (
+    CSTriple,
+    PeriodCertificate,
+    SolutionSet,
+    _settle,
+    _try_period,
+    critical_layers,
+)
+from .thresholds import build_thresholds
 
 ONE_L = "1,L (L even)"
 ONE_L_L1_ODD = "1,L,L+1 (L odd)"
@@ -88,8 +94,8 @@ class FamilySolution:
     rich; ``loser_need(n)`` the loser's completed cutoff.  ``cutoffs``
     orients them into (Player I cutoff, Player II cutoff) and adds the
     standard-game outcome: the family's cutoff source, valid for every n.
-    The period certificate is derived from these cutoffs once, on
-    construction.
+    The period certificate is read off these cutoffs once, on construction,
+    by period detection's routine (two samples per residue past the head).
     """
 
     kind: FamilyKind
@@ -102,7 +108,12 @@ class FamilySolution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moves", self.kind.moves)
-        object.__setattr__(self, "_solution", (_derive_certificate(self), self.solution_set))
+        m = self.kind.modulus
+        window = [self.cutoffs(n) for n in range(2 * self.moves.a_max + 2 * m + 1)]
+        cert = _try_period(self.moves, window, m, 0)
+        if cert is None:
+            raise AssertionError(f"closed forms of {self.kind.label} are not {m}-periodic")
+        object.__setattr__(self, "_solution", (cert, self.solution_set))
 
     def standard_winner(self, n: int) -> Winner:
         if n % self.kind.modulus in self.loser_residues:
@@ -155,83 +166,28 @@ class FamilySolution:
         return self._solution[0]
 
 
-def _derive_certificate(sol: FamilySolution) -> PeriodCertificate:
-    """Cost tables from the closed-form cutoffs, by the :func:`compute_costs` identity.
-
-    The cutoffs past ``max(A)`` repeat with the modulus up to a constant
-    advance, so each ``(residue, move a)`` entry is read at one ``n >= max(A) + a``.
-    """
-    moves, m = sol.moves, sol.kind.modulus
-    cost_i: dict[tuple[int, int], int] = {}
-    cost_ii: dict[tuple[int, int], int] = {}
-    for a in moves:
-        lo = moves.a_max + a
-        for i in range(m):
-            cost_i[(i, a)], cost_ii[(i, a)] = compute_costs(sol, lo + (i - lo) % m, a)
-    pattern = tuple(sol.standard_winner(i) for i in range(m))
-    return PeriodCertificate(moves, m, pattern, cost_i, cost_ii, 0)
-
-
-def _one_l_solution_set(L: int, loser_residues: frozenset[int]) -> SolutionSet:
-    step = L - 1
-
-    def contains(i: int, x: int, y: int) -> bool:
-        if i in loser_residues:
-            return x < (y // step) * step
-        return y >= (x // step) * step
-
-    return SolutionSet(
-        contains,
-        f"losing residues: mover gap < {step}*floor(opp gap/{step}); "
-        f"winning residues: opp gap >= {step}*floor(mover gap/{step})",
-    )
-
-
-def _one_l_l1_odd_solution_set(L: int) -> SolutionSet:
-    half = L // 2
-
-    def contains(i: int, x: int, y: int) -> bool:
-        if i == L + 1:
-            return y >= (x // L) * L
-        if (i < L + 1 and i % 2 == 0) or (i > L + 1 and i % 2 == 1):
-            return x <= (y // L) * L + half - 1
-        return y >= (x // L) * L + half
-
-    return SolutionSet(
-        contains,
-        f"staircase of step {L} with offsets {half - 1}/{half} by residue class",
-    )
-
-
-def _one_l_l1_even_solution_set(L: int) -> SolutionSet:
-    half = L // 2
-
-    def contains(i: int, x: int, y: int) -> bool:
-        if i % 2 == 1 or i == L:
-            return y >= (x // half) * half
-        return x < (y // half) * half
-
-    return SolutionSet(
-        contains,
-        f"odd residues and {L}: opp gap >= {half}*floor(mover gap/{half}); "
-        f"other even residues: mover gap < {half}*floor(opp gap/{half})",
-    )
-
-
 @lru_cache(maxsize=None)
 def family_solution(kind: FamilyKind) -> FamilySolution:
-    """Fully populated closed forms for one family instance."""
-    L = kind.L
+    """Fully populated closed forms for one family instance; the solution set
+    is a step ``s`` and one row ``(p_i, q_i)`` per residue, by :meth:`SolutionSet.from_rows`."""
+    L, half, m = kind.L, kind.half, kind.modulus
     if kind.label == ONE_L:
         losers = frozenset(range(0, L - 1, 2))
-        x = _one_l_solution_set(L, losers)
+        step = L - 1
+        rows = [(0, step - 1) if i in losers else (0, -1) for i in range(m)]
     elif kind.label == ONE_L_L1_ODD:
         losers = frozenset(range(0, L, 2))
-        x = _one_l_l1_odd_solution_set(L)
+        step = L
+        rows = [  # (half, L - 1) on even i below L + 1 and on odd i above it
+            (0, -1) if i == L + 1 else (half, L - 1) if (i < L + 1) == (i % 2 == 0)
+            else (0, half - 1)
+            for i in range(m)
+        ]
     else:
         losers = frozenset(range(0, L - 1, 2))
-        x = _one_l_l1_even_solution_set(L)
-    return FamilySolution(kind, losers, x)
+        step = half
+        rows = [(0, -1) if i % 2 or i == L else (0, step - 1) for i in range(m)]
+    return FamilySolution(kind, losers, SolutionSet.from_rows(step, rows))
 
 
 def range_standard(L: int, M: int, n: int) -> Winner:
@@ -362,13 +318,10 @@ def conjecture_check(
     else:
         special = True
 
-    layers = staircase(moves, critical_n_max)
     checked = 0
     bad: list[XCounterexample] = []
-    for n in range(critical_n_max + 1):
-        d, e, mover_gap, opp_gap = critical_cells(tables, n)
+    for n, d, e, mover_gap, opp_gap, wins in critical_layers(tables, critical_n_max):
         checked += d.size
-        wins = e < layers[n][d]  # critical budgets are below n: unclamped
         member = interval_cs_member(L, M, n % period, mover_gap, opp_gap)
         for k in np.flatnonzero(member != wins).tolist():
             cs = CSTriple(n % period, int(mover_gap[k]), int(opp_gap[k]))

@@ -67,7 +67,7 @@ def _solver_bound(bound: int | None) -> int:
 def _check_solver_bound(n: int, bound: int | None = None) -> None:
     limit = _solver_bound(bound)
     if n > limit:
-        raise ResourceLimit(f"n={n} exceeds solver bound {limit}")
+        raise ResourceLimit(f"n={n} exceeds solver bound {limit} ({BOUND_ENV_VAR})")
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,15 @@ needs no knowledge of the underlying position.
 A *solution set* is a set of corresponding states closed under the two move
 clauses below; membership then decides every critical position.  Closure is
 only ever checked on a bounded box, so certificates report the range they
-were verified on and never claim more.
+were verified on and never claim more.  Each solved family's set is one
+staircase per residue, stored as integer rows (:meth:`SolutionSet.from_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import BadParams, OutOfRange
 from .game import UNLIMITED, Funds, MoveSet, Winner, _check_funds
@@ -81,6 +82,18 @@ class SolutionSet:
     def __contains__(self, triple: CSTriple) -> bool:
         return self.contains(triple.residue, triple.mover_gap, triple.opp_gap)
 
+    @classmethod
+    def from_rows(cls, step: int, rows: Sequence[tuple[int, int]]) -> SolutionSet:
+        """Member ``(i, b, b2)`` when ``b2 > step*floor((b - p_i)/step) + q_i``,
+        with ``(p_i, q_i) = rows[i]``: one expression for ints and arrays."""
+        rows = tuple((int(p), int(q)) for p, q in rows)  # plain ints: scalar calls stay cheap
+
+        def contains(i, b, b2):
+            p, q = rows[i]
+            return b2 > step * ((b - p) // step) + q
+
+        return cls(contains, f"step {step}, rows (p_i, q_i) {list(rows)}")
+
 
 @dataclass
 class Violation:
@@ -114,9 +127,12 @@ def compute_costs(tables: CutoffSource, n: int, a: int) -> tuple[int, int]:
     """
     if a not in tables.moves or a > n:
         raise OutOfRange(f"move {a} not applicable at n={n}")
-    fi, fii, _ = tables.cutoffs(n)
-    gi, gii, _ = tables.cutoffs(n - a)
-    return fi - gii - a, fii - gi
+    return _costs(tables.cutoffs(n), tables.cutoffs(n - a), a)
+
+
+def _costs(at_n: tuple, at_succ: tuple, a: int) -> tuple[int, int]:
+    """The identity above, on the cutoffs read at ``n`` and ``n - a``."""
+    return at_n[0] - at_succ[1] - a, at_n[1] - at_succ[0]
 
 
 def step_cs(cert: PeriodCertificate, triple: CSTriple, a: int) -> CSTriple:
@@ -177,21 +193,25 @@ def detect_cash_period(
             f"n_check={n_check} too small to cover every residue up to m_max={m_max}"
         )
 
+    cutoffs = [tables.cutoffs(n) for n in range(n_check + 1)]  # one read per n
     for m in range(1, m_max + 1):
-        cert = _try_period(moves, tables, m, n_check)
+        cert = _try_period(moves, cutoffs, m, n_check)
         if cert is not None:
             return cert
     return None
 
 
 def _try_period(
-    moves: MoveSet, tables: ThresholdTables, m: int, n_check: int
+    moves: MoveSet, cutoffs: Sequence[tuple], m: int, verified_up_to: int
 ) -> PeriodCertificate | None:
+    """Period ``m``'s certificate if the winner pattern and costs are
+    residue-constant past the head; ``cutoffs[n]`` is a source's ``cutoffs(n)``."""
     a_max = moves.a_max
+    end = len(cutoffs)
     pattern: list[Winner] = []
     for i in range(m):
         first = a_max + ((i - a_max) % m)
-        vals = {bool(tables.winners[n]) for n in range(first, n_check + 1, m)}
+        vals = {cutoffs[n][2] for n in range(first, end, m)}
         if len(vals) != 1:
             return None
         pattern.append(Winner.MOVER if vals.pop() else Winner.OPPONENT)
@@ -202,13 +222,11 @@ def _try_period(
         lo = a_max + a
         for i in range(m):
             first = lo + ((i - lo) % m)
-            seen = {compute_costs(tables, n, a) for n in range(first, n_check + 1, m)}
+            seen = {_costs(cutoffs[n], cutoffs[n - a], a) for n in range(first, end, m)}
             if len(seen) != 1:
                 return None
-            ci, cii = seen.pop()
-            cost_i[(i, a)] = ci
-            cost_ii[(i, a)] = cii
-    return PeriodCertificate(moves, m, tuple(pattern), cost_i, cost_ii, n_check)
+            cost_i[(i, a)], cost_ii[(i, a)] = seen.pop()
+    return PeriodCertificate(moves, m, tuple(pattern), cost_i, cost_ii, verified_up_to)
 
 
 def verify_solution_set(
@@ -264,24 +282,47 @@ def induce_candidate(
 ) -> tuple[dict[CSTriple, Winner], bool]:
     """Map every critical position's corresponding state to its exact winner.
 
-    Sweeps all critical ``(n, d, e)`` with ``n <= n_max``, reading each
-    layer's winners off the staircase oracle in one compare.  The map is
-    extensional only.  ``consistent`` is False when two positions sharing a
+    Sweeps all critical ``(n, d, e)`` with ``n <= n_max`` through
+    :func:`critical_layers`.  The map is extensional only; :func:`covered_box`
+    bounds where it can be read.  ``consistent`` is False when two positions sharing a
     corresponding state disagree, which refutes the period for solution-set
     purposes.
     """
     tables.check_range(n_max)
-    layers = staircase(moves, n_max)
     out: dict[CSTriple, Winner] = {}
     consistent = True
-    for n in range(n_max + 1):
-        d, e, mover_gap, opp_gap = critical_cells(tables, n)
-        wins = e < layers[n][d]  # critical budgets are below n: unclamped
+    for n, _, _, mover_gap, opp_gap, wins in critical_layers(tables, n_max):
         for x, y, win in zip(mover_gap.tolist(), opp_gap.tolist(), wins.tolist()):
             w = Winner.MOVER if win else Winner.OPPONENT
             if out.setdefault(CSTriple(n % cert.period, x, y), w) is not w:
                 consistent = False
     return out, consistent
+
+
+def covered_box(cert: PeriodCertificate, states: Mapping[CSTriple, Winner]) -> int:
+    """Largest ``k`` such that ``states`` holds each triple of the gap box
+    ``[0, k]^2`` on every residue, and each successor of one with both gaps >= 0; else -1."""
+
+    def met(t: CSTriple) -> bool:
+        succs = (step_cs(cert, t, a) for a in cert.moves)
+        return t in states and all(s in states for s in succs if min(s.mover_gap, s.opp_gap) >= 0)
+
+    k = 0  # grow the box one shell {max(b, b2) == k} at a time
+    while all(met(CSTriple(i, b, b2)) for i in range(cert.period)
+              for j in range(k + 1) for b, b2 in ((k, j), (j, k))):
+        k += 1
+    return k - 1
+
+
+def critical_layers(source: CutoffSource, n_max: int) -> Iterator[tuple]:
+    """Yield ``(n, d, e, mover_gap, opp_gap, wins)`` for each ``n <= n_max``: the
+    :func:`~nimcash.thresholds.critical_cells` arrays measured from ``source``
+    and the mover's exact wins on them, read off the staircase in one compare."""
+    layers = staircase(source.moves, n_max)
+    for n in range(n_max + 1):
+        d, e, mover_gap, opp_gap = critical_cells(source, n)
+        # critical budgets are below the rich cutoffs, hence below n: unclamped
+        yield n, d, e, mover_gap, opp_gap, e < layers[n][d]
 
 
 def _settle(

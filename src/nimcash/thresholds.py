@@ -50,8 +50,6 @@ class ThresholdTables:
     """Rich-side cutoff arrays for ``0 <= n <= n_max``.
 
     ``winners[n]`` is True iff the mover wins the plain subtraction game.
-    ``rich_i_move[n]`` records the smallest removal witnessing ``rich_i[n]``
-    (-1 where no move is possible), for strategy extraction.
     """
 
     moves: MoveSet
@@ -59,7 +57,6 @@ class ThresholdTables:
     winners: np.ndarray
     rich_i: np.ndarray
     rich_ii: np.ndarray
-    rich_i_move: np.ndarray
 
     def check_range(self, n: int) -> None:
         """OutOfRange unless ``0 <= n <= n_max``; NonPositiveValue for a non-integer ``n``."""
@@ -142,24 +139,16 @@ def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
     a1 = moves.a_min
     rich_i = np.zeros(n_max + 1, dtype=np.int64)
     rich_ii = np.zeros(n_max + 1, dtype=np.int64)
-    witness = np.full(n_max + 1, -1, dtype=np.int64)
     for n in range(a1, n_max + 1):
         legal = [a for a in moves if a <= n]
+        rich_ii[n] = max(rich_i[n - a] for a in legal)
         if winners[n]:
-            best = min(
-                (rich_ii[n - a] + a, a) for a in legal if not winners[n - a]
-            )
-            rich_i[n], witness[n] = best
-            rich_ii[n] = max(rich_i[n - a] for a in legal)
+            rich_i[n] = min(rich_ii[n - a] + a for a in legal if not winners[n - a])
         else:
-            rich_ii[n] = max(rich_i[n - a] for a in legal)
-            best = min(
-                (rich_ii[n - a] + a, a)
-                for a in legal
-                if rich_i[n - a] == rich_ii[n]
+            rich_i[n] = min(
+                rich_ii[n - a] + a for a in legal if rich_i[n - a] == rich_ii[n]
             )
-            rich_i[n], witness[n] = best
-    return ThresholdTables(moves, n_max, winners, rich_i, rich_ii, witness)
+    return ThresholdTables(moves, n_max, winners, rich_i, rich_ii)
 
 
 def poor_thresholds(moves: MoveSet, n: int) -> PoorCutoffs:

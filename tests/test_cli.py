@@ -292,6 +292,61 @@ class TestVerify:
         assert code == 0
         assert "induced candidate" in out and "PASS" in out
 
+    @pytest.mark.parametrize("values, covered", [("1,4,5", 16), ("1,3,4", 13), ("1,2,5", 10)])
+    def test_induced_mode_passes_on_the_covered_box(self, capsys, values, covered):
+        code, out, _ = run_cli(capsys, "verify", "-A", values)
+        assert code == 0
+        assert f"closure check on box {covered} (covered: {covered}):" in out
+        assert out.endswith("PASS\n")
+
+    def test_box_past_the_covered_box_is_bad_input(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "-A", "1,4,5", "--box", "17")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "gap box 16" in err
+
+    def test_map_covering_no_box_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-A", "1,4", "--oracle-box", "0")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("FAIL: the induced map covers no gap box")
+
+    def test_tampered_induced_candidate_fails(self, capsys, monkeypatch):
+        import nimcash.cli as cli_mod
+        from nimcash import CSTriple, Winner
+
+        real = cli_mod.induce_candidate
+
+        def flipped(*args):
+            induced, consistent = real(*args)
+            w = induced[CSTriple(0, 2, 2)]
+            induced[CSTriple(0, 2, 2)] = Winner.MOVER if w is Winner.OPPONENT else Winner.OPPONENT
+            return induced, consistent
+
+        monkeypatch.setattr(cli_mod, "induce_candidate", flipped)
+        code, out, _ = run_cli(capsys, "verify", "-A", "1,4,5")
+        assert code == 1
+        assert "violation" in out and out.endswith("FAIL\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--family", "one-l", "4"),
+        ("verify", "-A", "1,4"),
+        ("verify", "--family", "one-l", "4", "--oracle-box", "51"),
+        ("conjecture", "2", "4", "--n-max", "240"),
+    ])
+    def test_staircase_past_the_bound_is_refused_up_front(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("NIMCASH_MAX_N", "50")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exceeds solver bound 50 (NIMCASH_MAX_N)" in err
+
+    def test_staircase_at_the_bound_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("NIMCASH_MAX_N", "50")
+        code, out, _ = run_cli(capsys, "verify", "--family", "one-l", "4", "--oracle-box", "50")
+        assert code == 0 and "n <= 50" in out
+        code, _, _ = run_cli(
+            capsys, "conjecture", "2", "4", "--n-max", "240", "--critical-n-max", "50"
+        )
+        assert code == 0
+
 
 class TestConjecture:
     def test_report_rendering(self, capsys):

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from nimcash import (
     BadParams,
     NonPositiveValue,
     OutOfRange,
+    SolutionSet,
     Winner,
     appendix_check,
     build_thresholds,
@@ -25,10 +28,17 @@ from nimcash import (
     standard_winners,
     verify_solution_set,
 )
-from nimcash.families import REFERENCE_MOVES
+from nimcash.families import REFERENCE_MOVES, FamilySolution
+from nimcash.periodicity import critical_layers
 
 KINDS = [one_l(2), one_l(4), one_l(6), one_l_l1(3), one_l_l1(5), one_l_l1(7),
          one_l_l1(2), one_l_l1(4), one_l_l1(6)]
+# every family instance with L <= 40: 20 of {1,L} and 39 of {1,L,L+1}
+ALL_KINDS = [one_l(L) for L in range(2, 41, 2)] + [one_l_l1(L) for L in range(2, 41)]
+
+
+def _kind_id(kind):
+    return f"{kind.moves.values}"
 
 
 class TestFamilyKinds:
@@ -149,6 +159,80 @@ class TestClosedForms:
                         int(t.rich_ii[n]) - 1 - e,
                     )
                     assert member == cube.mover_wins(n, d, e), (kind.label, n, d, e)
+
+
+class TestEveryInstanceUpTo40:
+    """Each instance against the recursion, the staircase and period detection.
+
+    The range ``n <= 3*modulus + 2*max(A)`` holds three periods past the
+    irregular head, so every residue row of the solution set meets critical
+    cells and detection sees each residue at least three times.
+    """
+
+    @staticmethod
+    def _n_hi(kind):
+        return 3 * kind.modulus + 2 * kind.moves.a_max
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
+    def test_cutoffs_match_the_recursion(self, kind, tables_cache):
+        n_hi = self._n_hi(kind)
+        t = tables_cache(kind.moves.values, n_hi)
+        want = list(zip(t.rich_i.tolist(), t.rich_ii.tolist(), t.winners.tolist()))
+        assert [family_solution(kind).cutoffs(n) for n in range(n_hi + 1)] == want
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
+    def test_rows_decide_every_critical_cell(self, kind):
+        sol = family_solution(kind)
+        residues = set()
+        for n, _, _, mover_gap, opp_gap, wins in critical_layers(sol, self._n_hi(kind)):
+            member = sol.solution_set.contains(n % kind.modulus, mover_gap, opp_gap)
+            assert np.array_equal(member, wins), (kind.label, kind.L, n)
+            if wins.size:
+                residues.add(n % kind.modulus)
+        assert len(residues) == kind.modulus
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
+    def test_certificate_matches_detection_on_three_periods(self, kind, tables_cache):
+        cert = family_solution(kind).certificate()
+        t = tables_cache(kind.moves.values, self._n_hi(kind))
+        detected = detect_cash_period(kind.moves, t, m_max=kind.modulus)
+        assert detected is not None
+        assert (detected.period, detected.winner_pattern) == (cert.period, cert.winner_pattern)
+        assert (detected.cost_i, detected.cost_ii) == (cert.cost_i, cert.cost_ii)
+        assert cert.verified_up_to == 0
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in ALL_KINDS if k.L <= 12 and k not in KINDS], ids=_kind_id
+    )
+    def test_closure_of_the_rest_up_to_12(self, kind):
+        """With ``TestClosedForms.test_solution_set_closure``: every instance with L <= 12."""
+        sol = family_solution(kind)
+        report = verify_solution_set(sol.certificate(), sol.solution_set, 4 * kind.L)
+        assert report.passed, (kind.label, report.violations[:3])
+
+
+class TestRowSets:
+    def test_scalar_and_array_membership_agree(self):
+        x = SolutionSet.from_rows(3, [(0, -1), (1, 2), (2, 0)])
+        b, b2 = np.indices((12, 12))
+        for i in range(3):
+            grid = x.contains(i, b, b2)
+            assert grid.dtype == bool
+            assert grid.tolist() == [
+                [x.contains(i, p, q) for q in range(12)] for p in range(12)
+            ]
+        # residue 1: b2 > 3*floor((b - 1)/3) + 2
+        assert not x.contains(1, 0, -1) and x.contains(1, 0, 0)
+        assert not x.contains(1, 4, 5) and x.contains(1, 4, 6)
+
+    def test_certificate_refuses_cutoffs_that_are_not_periodic(self, monkeypatch):
+        sol = family_solution(one_l(4))
+        real = FamilySolution.winner_need
+        monkeypatch.setattr(
+            FamilySolution, "winner_need", lambda self, n: real(self, n) + (n == 12)
+        )
+        with pytest.raises(AssertionError, match="not 5-periodic"):
+            dataclasses.replace(sol)
 
 
 class TestFamilyWin:

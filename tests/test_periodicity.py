@@ -26,6 +26,7 @@ from nimcash import (
     step_cs,
     verify_solution_set,
 )
+from nimcash.periodicity import covered_box
 
 
 class TestComputeCosts:
@@ -210,6 +211,19 @@ class TestInduceCandidate:
         )
         _, consistent = induce_candidate(ms, t, bogus, 100)
         assert not consistent
+
+    @pytest.mark.parametrize("values, covered", [((1, 3, 4), 13), ((1, 2, 5), 10)])
+    def test_covered_box_is_where_the_map_closes(self, tables_cache, values, covered):
+        """Past the covered box the map misses triples, and closure fails there."""
+        ms = new_move_set(values)
+        cert = detect_cash_period(ms, tables_cache(values, 400), 16, 300)
+        induced, consistent = induce_candidate(ms, tables_cache(values, 400), cert, 80)
+        assert consistent and covered_box(cert, induced) == covered
+        members = {cs for cs, w in induced.items() if w is Winner.MOVER}
+        x = SolutionSet(lambda i, b, b2: CSTriple(i, b, b2) in members, "induced")
+        assert verify_solution_set(cert, x, covered).passed
+        assert not verify_solution_set(cert, x, covered + 1).passed
+        assert covered_box(cert, {}) == -1
 
 
 class TestCriticalWinner:

@@ -64,13 +64,6 @@ class TestBuildThresholds:
                     fii[n - a] + a for a in legal if fi[n - a] == fii[n]
                 )
 
-    def test_witness_moves_attain_the_cutoff(self, tables_cache):
-        t = tables_cache((1, 4), 60)
-        for n in range(1, 61):
-            a = int(t.rich_i_move[n])
-            assert a in t.moves and a <= n
-            assert t.rich_i[n] == t.rich_ii[n - a] + a
-
     def test_least_cash_semantics(self, tables_cache, cube_cache):
         """On mover-winning n, rich_i is exactly the least winning budget."""
         for values in [(1, 4), (3, 5, 6, 10, 11)]:
