@@ -13,11 +13,17 @@ Subcommands:
 All output is deterministic for a fixed invocation.  ``NIMCASH_MAX_N``
 overrides the default single-position solver bound (2048), which also caps
 every stone count the staircase oracle is grown to (about n^2 bytes).
+
+The parser is built once per process (:func:`build_parser`); each call of
+:func:`main` only parses its arguments and runs ``cmd_<name>``, which reads
+the cutoff tables and the staircase from their per-move-set memos, so
+repeated calls in one process share that work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -364,7 +370,13 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, then only read.
+
+    It binds no command function; :func:`main` looks ``cmd_<name>`` up when
+    it runs, so a replaced module global takes effect.
+    """
     p = argparse.ArgumentParser(
         prog="nimcash",
         description="Solve and analyze one-pile subtraction games with cash costs",
@@ -377,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-d", required=True, help="mover's budget (integer or UF)")
     s.add_argument("-e", required=True, help="opponent's budget (integer or UF)")
     s.add_argument("--explain", action="store_true", help="name the deciding rule")
-    s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("table", help="Export cutoff tables or the winner cube")
     s.add_argument("-A", "--set", required=True)
@@ -386,13 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--e-max", type=int, help="with --d-max, emit cube rows for e < E")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--out", help="write to file instead of stdout")
-    s.set_defaults(func=cmd_table)
 
     s = sub.add_parser("period", help="Detect the cash period of a move set")
     s.add_argument("-A", "--set", required=True)
     s.add_argument("--m-max", type=int, default=64)
     s.add_argument("--n-check", type=int, default=2000)
-    s.set_defaults(func=cmd_period)
 
     s = sub.add_parser("verify", help="Verify a solution set (family or induced)")
     s.add_argument(
@@ -405,18 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stone bound for oracle agreement")
     s.add_argument("--m-max", type=int, default=64,
                    help="largest period tried in induced mode")
-    s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("conjecture", help="Run the {L..M} sweep (report-only)")
     s.add_argument("L", type=int)
     s.add_argument("M", type=int)
     s.add_argument("--n-max", type=int, default=360)
     s.add_argument("--critical-n-max", type=int, default=120)
-    s.set_defaults(func=cmd_conjecture)
 
     s = sub.add_parser("appendix", help="Check {3,5,6,10,11} against the reference rows")
     s.add_argument("--k-max", type=int, default=12)
-    s.set_defaults(func=cmd_appendix)
 
     s = sub.add_parser("play", help="Play against the engine")
     s.add_argument("-A", "--set", required=True)
@@ -424,15 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-d", required=True)
     s.add_argument("-e", required=True)
     s.add_argument("--human", choices=["I", "II"], default="I")
-    s.set_defaults(func=cmd_play)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.cmd}"](args)
     except NimCashError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

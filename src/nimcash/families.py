@@ -58,6 +58,14 @@ class FamilyKind:
     modulus: int
     half: int
 
+    def __post_init__(self) -> None:
+        # hashed once, by the move set that determines the kind: ``family_solution``
+        # looks the kind up on every call
+        object.__setattr__(self, "_hash", hash(self.moves))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 def one_l(L: int) -> FamilyKind:
     """The family {1, L}; only even L >= 2 is supported (odd L collapses to {1})."""

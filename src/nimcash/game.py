@@ -106,6 +106,11 @@ class MoveSet:
         if len(set(values)) != len(values):
             raise DuplicateValue(f"duplicate move amounts in {values}")
         object.__setattr__(self, "values", tuple(sorted(values)))
+        # hashed once: every memo keyed on the move set hashes it per lookup
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def a_min(self) -> int:

@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import BadParams, OutOfRange, ResourceLimit
 from .game import CashState, Funds, MoveSet, Winner, clamp_funds
+from .thresholds import build_thresholds
 
 #: Environment variable overriding the default single-query solver bound.
 BOUND_ENV_VAR = "NIMCASH_MAX_N"
@@ -80,11 +81,9 @@ class SolveResult:
 
 
 def standard_winners(moves: MoveSet, n_max: int) -> np.ndarray:
-    """Boolean array over n: True iff the player to move wins with no budgets."""
-    win = np.zeros(n_max + 1, dtype=bool)
-    for n in range(moves.a_min, n_max + 1):
-        win[n] = any(not win[n - a] for a in moves if a <= n)
-    return win
+    """Read-only boolean array over n: True iff the player to move wins with no
+    budgets; the ``winners`` rows of the move set's cutoff-recursion memo."""
+    return build_thresholds(moves, n_max).winners
 
 
 def solve_standard(moves: MoveSet, n: int) -> Winner:
@@ -220,10 +219,16 @@ def _staircase(moves: MoveSet) -> _Staircase:
     return _Staircase(moves)
 
 
+# held over a memo lookup: two first readers of a move set must not build two memos
+_LOOKUP = threading.Lock()
+
+
 def staircase(moves: MoveSet, n: int) -> list[np.ndarray]:
     """The memoised read-only layers, at least ``B[0..n]``; ``(s; d, e)`` is a
     mover win exactly when ``min(e, s) < B[s][min(d, s)]``."""
-    return _staircase(moves).grow(n)
+    with _LOOKUP:
+        memo = _staircase(moves)
+    return memo.grow(n)
 
 
 def solve_cash(moves: MoveSet, state: CashState, bound: int | None = None) -> SolveResult:

@@ -21,19 +21,27 @@ the one decider of this module: callers read its region and mover-wins
 directly.  The rich cutoffs come from ``cutoffs(n)`` of
 :class:`ThresholdTables` (the recursion, up to ``n_max``) or of a solved
 family (closed forms, any ``n``).
+
+The recursion is memoised per move set (the last 8 move sets are kept):
+each row is computed once, in a Python loop, and the memo grows append-only
+under a lock to the largest ``n_max`` asked for, 17 bytes per row.
+:func:`build_thresholds` is its one reader and returns read-only views of
+exactly ``n_max + 1`` rows, so a repeated ``WinEngine`` or CLI call on one
+move set costs a slice, not a rebuild.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from .game import MoveSet, _check_funds, _check_stones, clamp_funds
 from .errors import OutOfRange
-from .oracle import standard_winners
 
 
 class CutoffSource(Protocol):
@@ -122,8 +130,75 @@ class Regime(NamedTuple):
         return self.code == 0
 
 
+#: Rows computed per pass of the Python loop; bounds its transient lists.
+_CHUNK = 4096
+
+
+class _Recursion:
+    """The cutoff recursion for one move set, grown on demand.
+
+    ``rows`` is ``(winners, rich_i, rich_ii)`` over ``0..top``.  Growth to
+    ``n`` computes only the rows ``top+1..n`` into fresh arrays and
+    publishes them read-only in one assignment, so an array once read never
+    changes.
+    """
+
+    def __init__(self, moves: MoveSet) -> None:
+        self.moves = moves
+        self.rows = tuple(np.zeros(0, dtype=t) for t in (bool, np.int64, np.int64))
+        self._lock = threading.Lock()
+
+    def grow(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row arrays, holding at least the rows ``0..n``."""
+        if len(self.rows[0]) <= n:
+            with self._lock:
+                top = len(self.rows[0])
+                if top <= n:
+                    rows = tuple(
+                        np.concatenate((old, np.empty(n + 1 - top, dtype=old.dtype)))
+                        for old in self.rows
+                    )
+                    for start in range(top, n + 1, _CHUNK):
+                        stop = min(start + _CHUNK, n + 1)
+                        for arr, part in zip(rows, self._rows(rows, start, stop)):
+                            arr[start:stop] = part
+                    for arr in rows:
+                        arr.flags.writeable = False  # shared by every reader of the memo
+                    self.rows = rows
+        return self.rows
+
+    def _rows(self, rows: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[list, ...]:
+        """Rows ``start..stop-1`` as lists, from the ``max(A)`` rows of ``rows`` below them."""
+        moves = self.moves
+        base = max(start - moves.a_max, 0)
+        win, fi, fii = (arr[base:start].tolist() for arr in rows)
+        for m in range(start, stop):
+            k = m - base
+            legal = [a for a in moves if a <= m]  # none below min(A): all zero
+            worst = max((fi[k - a] for a in legal), default=0)
+            wins = any(not win[k - a] for a in legal)
+            if wins:
+                cheapest = min(fii[k - a] + a for a in legal if not win[k - a])
+            else:
+                cheapest = min((fii[k - a] + a for a in legal if fi[k - a] == worst), default=0)
+            win.append(wins)
+            fi.append(cheapest)
+            fii.append(worst)
+        cut = start - base
+        return win[cut:], fi[cut:], fii[cut:]
+
+
+@lru_cache(maxsize=8)
+def _recursion(moves: MoveSet) -> _Recursion:
+    return _Recursion(moves)
+
+
+# held over a memo lookup: two first readers of a move set must not build two memos
+_LOOKUP = threading.Lock()
+
+
 def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
-    """Compute the rich-side cutoffs by the defining recursion.
+    """The rich-side cutoffs for ``0 <= n <= n_max``, by the defining recursion.
 
     On a mover-wins position, ``rich_i`` prices the cheapest winning reply
     (opponent's completed cutoff there plus the move's cost) and ``rich_ii``
@@ -132,23 +207,18 @@ def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
     successor ``rich_i``, and the completed ``rich_i`` prices the cheapest
     escape through a successor attaining that worst case.  Below the minimum
     removal both cutoffs are zero.
+
+    The rows are read off the move set's memo (the last 8 move sets are
+    kept), which computes each row once; the arrays are read-only views of
+    exactly ``n_max + 1`` rows.
     """
     if n_max < 0:
         raise OutOfRange(f"n_max must be >= 0, got {n_max}")
-    winners = standard_winners(moves, n_max)
-    a1 = moves.a_min
-    rich_i = np.zeros(n_max + 1, dtype=np.int64)
-    rich_ii = np.zeros(n_max + 1, dtype=np.int64)
-    for n in range(a1, n_max + 1):
-        legal = [a for a in moves if a <= n]
-        rich_ii[n] = max(rich_i[n - a] for a in legal)
-        if winners[n]:
-            rich_i[n] = min(rich_ii[n - a] + a for a in legal if not winners[n - a])
-        else:
-            rich_i[n] = min(
-                rich_ii[n - a] + a for a in legal if rich_i[n - a] == rich_ii[n]
-            )
-    return ThresholdTables(moves, n_max, winners, rich_i, rich_ii)
+    with _LOOKUP:
+        memo = _recursion(moves)
+    winners, rich_i, rich_ii = memo.grow(n_max)
+    rows = slice(n_max + 1)
+    return ThresholdTables(moves, n_max, winners[rows], rich_i[rows], rich_ii[rows])
 
 
 def poor_thresholds(moves: MoveSet, n: int) -> PoorCutoffs:

@@ -1,13 +1,17 @@
 """Plain recursive reference solvers, kept independent of the package.
 
 These are the trusted oracles the production code is checked against: the
-most naive possible implementations, dict-memoized, no numpy, no shared
-machinery.  Budgets here are plain ints (callers clamp or pick small ones).
+most naive possible implementations, dict-memoized, no shared machinery.
+Budgets here are plain ints (callers clamp or pick small ones).  Only
+``ref_thresholds`` uses numpy, so that the dtypes of the package's cutoff
+tables can be compared as well as their values.
 """
 
 from __future__ import annotations
 
 import sys
+
+import numpy as np
 
 
 def ref_mover_wins(values: tuple[int, ...], n: int, d: int, e: int,
@@ -62,3 +66,28 @@ def ref_wins_miserly(values: tuple[int, ...], n: int, d: int, e: int,
         return memo[key]
 
     return go(n, d, e, designated_moves_now)
+
+
+def ref_thresholds(values: tuple[int, ...], n_max: int):
+    """``(winners, rich_i, rich_ii)`` for ``0 <= n <= n_max``, computed in one shot.
+
+    The defining recursion of the rich cutoffs, run from ``n = 0`` into fresh
+    arrays (bool, int64, int64): on a mover-wins ``n``, ``rich_i`` is the
+    cheapest winning reply and ``rich_ii`` the worst successor ``rich_i``; on
+    a mover-loses ``n``, ``rich_ii`` is that worst case and ``rich_i`` the
+    cheapest escape through a successor attaining it.
+    """
+    win = np.zeros(n_max + 1, dtype=bool)
+    rich_i = np.zeros(n_max + 1, dtype=np.int64)
+    rich_ii = np.zeros(n_max + 1, dtype=np.int64)
+    for n in range(min(values), n_max + 1):
+        legal = [a for a in values if a <= n]
+        win[n] = any(not win[n - a] for a in legal)
+        rich_ii[n] = max(rich_i[n - a] for a in legal)
+        if win[n]:
+            rich_i[n] = min(rich_ii[n - a] + a for a in legal if not win[n - a])
+        else:
+            rich_i[n] = min(
+                rich_ii[n - a] + a for a in legal if rich_i[n - a] == rich_ii[n]
+            )
+    return win, rich_i, rich_ii

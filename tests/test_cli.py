@@ -411,3 +411,34 @@ class TestPlay:
         assert "illegal move 7" in out
         assert "not a move: 'banana'" in out
         assert "you resign" in out
+
+
+class TestCachedParser:
+    """One parser serves every call of the process and keeps nothing between calls."""
+
+    SOLVE = ("solve", "-A", "3,5,6,10,11", "-n", "20", "-d", "12", "-e", "9")
+
+    def test_a_flag_does_not_outlive_its_call(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SOLVE, "--explain")
+        assert code == 0 and "decided by: oracle" in out
+        code, plain, _ = run_cli(capsys, *self.SOLVE)
+        assert code == 0 and "decided by:" not in plain
+        assert plain == "".join(line for line in out.splitlines(True) if "decided by" not in line)
+
+    def test_a_parse_error_between_valid_calls(self, capsys):
+        code, first, _ = run_cli(capsys, *self.SOLVE)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-A", "1,4", "-n", "five", "-d", "3", "-e", "3"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        code2, second, err = run_cli(capsys, *self.SOLVE)
+        assert code == code2 == 0 and second == first and err == ""
+
+    def test_a_replaced_command_takes_effect(self, capsys, monkeypatch):
+        import nimcash.cli as cli_mod
+
+        run_cli(capsys, *self.SOLVE)  # the parser exists before the replacement
+        seen = []
+        monkeypatch.setattr(cli_mod, "cmd_solve", lambda args: seen.append(args.n) or 7)
+        code, out, _ = run_cli(capsys, *self.SOLVE)
+        assert code == 7 and seen == [20] and out == ""

@@ -4,8 +4,11 @@ Hypothesis draws a move set from the subsets of 1..7 and a state with at most
 40 stones.  The plain recursive reference, the dense cube, the staircase
 behind ``solve_cash`` and ``WinEngine.decide`` are compared; so are
 ``wins_miserly`` and its recursive reference, for either designated player
-and with move sets drawn from 1..7 and from 2..7 (``min(A) >= 2``).  Runs are
-derandomized, so the examples are the same on every run.
+and with move sets drawn from 1..7 and from 2..7 (``min(A) >= 2``).  The
+memoised cutoff recursion behind ``build_thresholds`` is grown through a
+random sequence of ``n_max`` steps and each read is compared with the
+one-shot ``ref_thresholds``.  Runs are derandomized, so the examples are the
+same on every run.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from nimcash import (  # noqa: E402
     CashTable,
     WinEngine,
     Winner,
+    build_thresholds,
     new_move_set,
     solve_cash,
     wins_miserly,
 )
-from reference import ref_mover_wins, ref_wins_miserly  # noqa: E402
+from nimcash import thresholds  # noqa: E402
+from reference import ref_mover_wins, ref_thresholds, ref_wins_miserly  # noqa: E402
 
 N_MAX = 40
 
@@ -59,3 +64,17 @@ def test_miserly_matches_reference(values, n, d, e, mover_designated):
     who = Winner.MOVER if mover_designated else Winner.OPPONENT
     got = wins_miserly(new_move_set(values), CashState(n, d, e), who)
     assert got == ref_wins_miserly(values, n, d, e, mover_designated)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(values=move_sets, steps=st.lists(st.integers(0, 160), min_size=1, max_size=6))
+def test_recursion_memo_matches_reference(values, steps):
+    thresholds._recursion.cache_clear()  # each example grows its memo from nothing
+    ms = new_move_set(values)
+    for n_max in steps:  # up and down: a read below the top slices, above it grows
+        tables = build_thresholds(ms, n_max)
+        got = (tables.winners, tables.rich_i, tables.rich_ii)
+        for arr, want in zip(got, ref_thresholds(values, n_max)):
+            assert arr.dtype == want.dtype and arr.shape == (n_max + 1,)
+            assert (arr == want).all(), (values, steps, n_max)
+            assert arr.flags.writeable is False

@@ -19,6 +19,7 @@ from nimcash import (
     recognize_family,
 )
 from nimcash import engine as engine_module
+from nimcash import thresholds as thresholds_module
 
 
 class TestDecide:
@@ -130,6 +131,7 @@ class TestFamilyCutoffSource:
             raise AssertionError("a family engine built recursion tables")
 
         monkeypatch.setattr(engine_module, "build_thresholds", refuse)
+        monkeypatch.setattr(thresholds_module, "_recursion", refuse)
         engine = WinEngine(new_move_set(values), 30)
         assert engine.cutoff_source is family_solution(recognize_family(engine.moves))
         assert engine.decide(13, 8, 7).winner is cube_cache(values, 30).winner(13, 8, 7)

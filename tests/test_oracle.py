@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -352,6 +353,31 @@ class TestStaircase:
         with pytest.raises(ResourceLimit):
             solve_cash(new_move_set([1, 2]), CashState(100, 5, 5), bound=50)
         assert oracle._staircase.cache_info().currsize == 0
+
+    def test_first_readers_share_one_memo(self, monkeypatch):
+        oracle._staircase.cache_clear()
+        real_init = oracle._Staircase.__init__
+
+        def slow_init(memo, moves):
+            time.sleep(0.02)  # the other reader reaches the lookup meanwhile
+            real_init(memo, moves)
+
+        monkeypatch.setattr(oracle._Staircase, "__init__", slow_init)
+        ms = new_move_set([2, 3])
+        barrier = threading.Barrier(2)
+        got: dict = {}
+
+        def grow(n: int) -> None:
+            barrier.wait()
+            got[n] = oracle.staircase(ms, n)
+
+        threads = [threading.Thread(target=grow, args=(n,)) for n in (150, 300)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert len(got[150]) >= 151 and len(got[300]) >= 301
+        assert len(oracle._staircase(ms).layers) == 301
 
     def test_concurrent_growth_appends_each_layer_once(self, cube_cache):
         oracle._staircase.cache_clear()

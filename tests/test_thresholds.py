@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from nimcash import (
     new_move_set,
     poor_thresholds,
 )
-from nimcash import oracle
+from nimcash import oracle, thresholds
 from nimcash.thresholds import critical_cells, regime
+from reference import ref_thresholds
 
 CORPUS = [(1, 4), (1, 6), (1, 5, 6), (1, 4, 5), (1, 3, 4), (3, 5, 6, 10, 11)]
 CORPUS_STAIRCASE = [(1, 3, 4), (3, 5, 6, 10, 11), (2, 3), (1, 4, 5), (1, 2, 5), (1, 6), (2, 5, 7)]
@@ -107,6 +111,68 @@ class TestBuildThresholds:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             build_thresholds(new_move_set([1, 2]), -1)
+
+
+def assert_reference(tables, values, n_max):
+    """``tables`` holds exactly the one-shot reference rows ``0..n_max``, read-only."""
+    got = (tables.winners, tables.rich_i, tables.rich_ii)
+    for arr, want in zip(got, ref_thresholds(values, n_max)):
+        assert arr.dtype == want.dtype and arr.shape == (n_max + 1,)
+        assert (arr == want).all(), (values, n_max)
+        assert arr.flags.writeable is False
+
+
+class TestRecursionMemo:
+    """The per-move-set memo behind ``build_thresholds``, against ``ref_thresholds``."""
+
+    def test_reads_cannot_be_made_writeable(self):
+        t = build_thresholds(new_move_set([1, 3, 4]), 50)
+        for arr in (t.winners, t.rich_i, t.rich_ii):
+            with pytest.raises(ValueError):
+                arr[3] = 0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_regrowth_after_eviction(self):
+        thresholds._recursion.cache_clear()
+        sets = [(a, a + 1) for a in range(1, 10)]  # one more than the memo keeps
+        first = build_thresholds(new_move_set(sets[0]), 120)
+        memo = thresholds._recursion(new_move_set(sets[0]))
+        for values in sets[1:]:
+            build_thresholds(new_move_set(values), 60)
+        info = thresholds._recursion.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+        again = build_thresholds(new_move_set(sets[0]), 150)
+        assert thresholds._recursion(new_move_set(sets[0])) is not memo
+        assert_reference(again, sets[0], 150)
+        assert_reference(first, sets[0], 120)  # a read from the evicted memo is unchanged
+
+    def test_two_threads_grow_one_memo(self, monkeypatch):
+        thresholds._recursion.cache_clear()
+        real_init = thresholds._Recursion.__init__
+
+        def slow_init(memo, moves):
+            time.sleep(0.02)  # the other reader reaches the lookup meanwhile
+            real_init(memo, moves)
+
+        monkeypatch.setattr(thresholds._Recursion, "__init__", slow_init)
+        ms = new_move_set([1, 3, 4])
+        barrier = threading.Barrier(2)
+        got: dict = {}
+
+        def grow(n: int) -> None:
+            barrier.wait()
+            got[n] = build_thresholds(ms, n)
+
+        threads = [threading.Thread(target=grow, args=(n,)) for n in (700, 1500)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for n in (700, 1500):
+            assert_reference(got[n], (1, 3, 4), n)
+        assert [len(arr) for arr in thresholds._recursion(ms).rows] == [1501] * 3
 
 
 class TestPoorThresholds:
