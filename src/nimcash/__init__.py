@@ -4,7 +4,7 @@ Players alternately remove an allowed number of stones from one pile, and
 each removal costs the mover that many dollars from a personal budget; a
 player who cannot afford any legal removal loses.  The package provides an
 exact oracle, rich/poor budget cutoffs, cash-periodicity detection with
-solution-set verification, complete closed forms for the solved families,
+solution-set verification, complete win conditions for the solved families,
 and report-only sweeps for the open conjectures.
 """
 

@@ -262,7 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle_ok = True
     if args.family:
         n_hi = args.oracle_box
-        mismatches = 0  # measured from the closed forms, which family_win decides with
+        mismatches = 0  # measured from the family's cutoffs, which family_win decides with
         for n, _, _, mover_gap, opp_gap, wins in critical_layers(sol, n_hi):
             member = candidate.contains(n % cert.period, mover_gap, opp_gap)
             mismatches += int(np.count_nonzero(member != wins))

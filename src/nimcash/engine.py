@@ -1,8 +1,8 @@
 """Composite win-condition engine: thresholds first, oracle only as last resort.
 
 ``WinEngine`` wires the pieces together for one move set around one cutoff
-source: a recognized family's closed forms, or else the recursion tables,
-which are built only for a move set that is not a solved family.  Rich and
+source: a recognized family's solution, or else the recursion tables,
+which are read only for a move set that is not a solved family.  Rich and
 poor positions are decided by their cutoffs; critical positions go through a
 solution set when one is available (recognized family instances supply
 theirs automatically) and fall back to the staircase oracle otherwise.  The
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import BadParams, OutOfRange
 from .families import family_solution, recognize_family
-from .game import CashState, Funds, MoveSet, Winner
+from .game import CashState, Funds, MoveSet, Winner, _check_stones
 from .oracle import CashTable, SolveResult, solve_cash, staircase
 from .periodicity import CSTriple, PeriodCertificate, SolutionSet, _settle
 from .thresholds import CutoffSource, Region, build_thresholds, regime
@@ -37,7 +37,7 @@ class Decision:
 class WinEngine:
     """Decides positions for one move set.
 
-    Cutoffs come from ``cutoff_source``: a recognized family's closed forms,
+    Cutoffs come from ``cutoff_source``: a recognized family's solution,
     valid for every ``n``, or else the recursion tables up to ``n_max``, past
     which queries raise :class:`OutOfRange`.  Critical positions without a
     solution set are read off the staircase oracle; :meth:`cube` builds the
@@ -50,7 +50,7 @@ class WinEngine:
         n_max: int,
         solution: tuple[PeriodCertificate, SolutionSet] | None = None,
     ) -> None:
-        if n_max < 0:
+        if _check_stones(n_max) < 0:
             raise OutOfRange(f"n_max must be >= 0, got {n_max}")
         self.moves = moves
         self.n_max = n_max
@@ -58,8 +58,10 @@ class WinEngine:
         family = None if kind is None else family_solution(kind)
         if solution is None and family is not None:
             solution = (family.certificate(), family.solution_set)
+        if solution is not None and solution[0].moves != moves:
+            raise BadParams(f"the certificate is for {solution[0].moves}, not {moves}")
         self.solution = solution
-        # a solved family's closed forms cover every n; the tables stop at n_max
+        # a solved family's cutoffs cover every n; the tables stop at n_max
         self.cutoff_source: CutoffSource = (
             build_thresholds(moves, n_max) if family is None else family
         )
@@ -86,6 +88,8 @@ class WinEngine:
         layer's staircase row.  Output is indexed by the raw, unclamped
         budgets.
         """
+        if min(_check_stones(hi) for hi in (n_hi, d_hi, e_hi)) < 0:
+            raise OutOfRange(f"sweep bounds must be >= 0, got {(n_hi, d_hi, e_hi)}")
         self.cutoff_source.cutoffs(n_hi)  # OutOfRange past the tables, before allocating
         out = np.zeros((n_hi + 1, d_hi + 1, e_hi + 1), dtype=bool)
         d = np.arange(d_hi + 1)[:, None]

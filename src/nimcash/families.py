@@ -1,4 +1,4 @@
-"""Closed-form solutions for the solved families, plus two sweep harnesses.
+"""Complete win conditions for the solved families, plus two sweep harnesses.
 
 Three families have complete budget-aware win conditions:
 
@@ -6,15 +6,16 @@ Three families have complete budget-aware win conditions:
 * ``{1, L, L+1}`` with ``L`` odd (modulus ``2L + 1``),
 * ``{1, L, L+1}`` with ``L`` even (modulus ``2L``).
 
-Each family is data for the generic pipeline: its loser residues, closed
-forms for the rich cutoffs, and a solution set given as integer rows, one
-per residue (:meth:`~nimcash.periodicity.SolutionSet.from_rows`), whose
-offsets follow from ``L``.  The period certificate is not written out:
-period detection's own routine reads it off the closed-form cutoffs over a
-short window, and so checks that they are residue-constant.  Decisions go
-through the same critical-position step as ``WinEngine``.  The test suite
-checks the closed forms against the recursion, the certificate against
-period detection, and the solution sets against the oracle.
+Each family is data for the generic pipeline: the rows of the cutoff
+recursion up to ``max(A) + 2*modulus``, extended to every ``n`` by one
+advance per period, and a solution set given as integer rows, one per
+residue (:meth:`~nimcash.periodicity.SolutionSet.from_rows`), whose offsets
+follow from ``L``.  The period certificate is not written out: period
+detection's own routine reads it off the cutoffs over a short window.
+Decisions go through the same critical-position step as ``WinEngine``.  The
+test suite checks the cutoffs against the paper's closed forms
+(``tests/reference.py``), the certificate against period detection, and
+the solution sets against the oracle.
 
 Two report-only harnesses cover open territory.  ``conjecture_check`` probes
 interval sets ``{L..M}`` for an offset beyond which the cutoffs repeat with
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParams, OutOfRange
-from .game import Funds, MoveSet, Winner, _check_stones, new_move_set
+from .game import Funds, MoveSet, Winner, _check_stones, _integer, new_move_set
 from .periodicity import (
     CSTriple,
     PeriodCertificate,
@@ -96,71 +97,53 @@ def recognize_family(moves: MoveSet) -> FamilyKind | None:
 
 @dataclass(frozen=True)
 class FamilySolution:
-    """One solved family as data: loser residues, closed-form cutoffs, solution set.
+    """One solved family as data: its cutoff rows and its solution set.
 
-    ``winner_need(n)`` is the budget the standard-game winner needs to win
-    rich; ``loser_need(n)`` the loser's completed cutoff.  ``cutoffs``
-    orients them into (Player I cutoff, Player II cutoff) and adds the
-    standard-game outcome: the family's cutoff source, valid for every n.
-    The period certificate is read off these cutoffs once, on construction,
-    by period detection's routine (two samples per residue past the head).
+    Construction reads the cutoff recursion once, up to ``max(A) + 2*modulus``,
+    and checks that each row from ``max(A)`` on is the row one period back
+    raised by one constant advance, on both cutoffs and with the same
+    standard winner.  The recursion reads ``max(A)`` rows back and allows
+    every move from ``max(A)`` on, so these ``modulus + 1 >= max(A)`` rows
+    carry the advance to every ``n`` by induction.  The period certificate
+    is read off the cutoffs by period detection's routine.
     """
 
     kind: FamilyKind
-    loser_residues: frozenset[int]
     solution_set: SolutionSet
     moves: MoveSet = field(init=False, repr=False, compare=False)
-    _solution: tuple[PeriodCertificate, SolutionSet] = field(
-        init=False, repr=False, compare=False
-    )
+    # (rich_i, rich_ii, mover wins) as plain ints for n < max(A) + modulus
+    _rows: tuple[tuple[int, int, bool], ...] = field(init=False, repr=False, compare=False)
+    _advance: int = field(init=False, repr=False, compare=False)
+    _solution: tuple[PeriodCertificate, SolutionSet] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moves", self.kind.moves)
-        m = self.kind.modulus
-        window = [self.cutoffs(n) for n in range(2 * self.moves.a_max + 2 * m + 1)]
-        cert = _try_period(self.moves, window, m, 0)
+        moves, m = self.kind.moves, self.kind.modulus
+        head = moves.a_max
+        t = build_thresholds(moves, head + 2 * m)
+        rows = tuple(zip(t.rich_i.tolist(), t.rich_ii.tolist(), t.winners.tolist()))
+        advance = rows[head + m][0] - rows[head][0]
+        raised = [(fi + advance, fii + advance, wins) for fi, fii, wins in rows[head : head + m + 1]]
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "_rows", rows[: head + m])
+        object.__setattr__(self, "_advance", advance)
+        # one sample per residue and move past the head: the check makes the rest equal
+        window = [self.cutoffs(n) for n in range(2 * head + m)]
+        cert = _try_period(moves, window, m, 0) if raised == list(rows[head + m :]) else None
         if cert is None:
-            raise AssertionError(f"closed forms of {self.kind.label} are not {m}-periodic")
+            raise AssertionError(f"cutoffs of {self.kind.label} are not {m}-periodic")
         object.__setattr__(self, "_solution", (cert, self.solution_set))
 
-    def standard_winner(self, n: int) -> Winner:
-        if n % self.kind.modulus in self.loser_residues:
-            return Winner.OPPONENT
-        return Winner.MOVER
-
-    def winner_need(self, n: int) -> int:
-        kind = self.kind
-        L = kind.L
-        k, i = divmod(n, kind.modulus)
-        if kind.label == ONE_L:
-            return L * k + (i + 1) // 2 if i < L else L * (k + 1)
-        if kind.label == ONE_L_L1_ODD:
-            base = (3 * L + 1) * k // 2
-            return base + (i + 1) // 2 if i < L + 1 else base + L + (i - L + 1) // 2
-        base = 3 * L * k // 2
-        return base + (i + 1) // 2 if i < L else base + L + (i - L + 1) // 2
-
-    def loser_need(self, n: int) -> int:
-        kind = self.kind
-        L, half = kind.L, kind.half
-        k, i = divmod(n, kind.modulus)
-        if kind.label == ONE_L:
-            if n < L:
-                return n // 2
-            return L * k + i // 2 - half + 1 if i < L else L * k + half
-        if kind.label == ONE_L_L1_ODD:
-            base = (3 * L + 1) * k // 2
-            return base + i // 2 if i < L + 2 else base + L + (i - L) // 2
-        base = 3 * L * k // 2
-        return base + i // 2 if i < L + 1 else base + L + (i - L) // 2
-
     def cutoffs(self, n: int) -> tuple[int, int, bool]:
-        """``(rich_i, rich_ii, standard mover wins)`` from the closed forms."""
+        """``(rich_i, rich_ii, standard mover wins)``: a stored row, or past the
+        stored rows the row ``k`` periods back raised by ``k`` advances."""
         if _check_stones(n) < 0:
             raise OutOfRange(f"n must be >= 0, got {n}")
-        if self.standard_winner(n) is Winner.MOVER:
-            return self.winner_need(n), self.loser_need(n), True
-        return self.loser_need(n), self.winner_need(n), False
+        if n < len(self._rows):
+            return self._rows[n]
+        head = self.moves.a_max
+        k, i = divmod(n - head, self.kind.modulus)
+        fi, fii, wins = self._rows[head + i]
+        return fi + k * self._advance, fii + k * self._advance, wins
 
     def rich_pair(self, n: int) -> tuple[int, int]:
         return self.cutoffs(n)[:2]
@@ -168,23 +151,22 @@ class FamilySolution:
     def certificate(self) -> PeriodCertificate:
         """The family's period data in certificate form, shared and read-only.
 
-        ``verified_up_to`` is 0: the tables follow from the closed forms, not
-        from a bounded sweep (the test suite pins them against detection).
+        ``verified_up_to`` is 0: the construction's check covers every ``n``,
+        not a bounded sweep (the test suite pins the tables against detection).
         """
         return self._solution[0]
 
 
 @lru_cache(maxsize=None)
 def family_solution(kind: FamilyKind) -> FamilySolution:
-    """Fully populated closed forms for one family instance; the solution set
-    is a step ``s`` and one row ``(p_i, q_i)`` per residue, by :meth:`SolutionSet.from_rows`."""
+    """One family instance: its cutoff rows, read off the recursion once, and its
+    solution set, a step ``s`` and one row ``(p_i, q_i)`` per residue
+    (:meth:`SolutionSet.from_rows`) generated from ``L``."""
     L, half, m = kind.L, kind.half, kind.modulus
     if kind.label == ONE_L:
-        losers = frozenset(range(0, L - 1, 2))
-        step = L - 1
-        rows = [(0, step - 1) if i in losers else (0, -1) for i in range(m)]
+        step = L - 1  # residues 0, 2, .., L - 2 are the standard losers
+        rows = [(0, step - 1) if i < L - 1 and i % 2 == 0 else (0, -1) for i in range(m)]
     elif kind.label == ONE_L_L1_ODD:
-        losers = frozenset(range(0, L, 2))
         step = L
         rows = [  # (half, L - 1) on even i below L + 1 and on odd i above it
             (0, -1) if i == L + 1 else (half, L - 1) if (i < L + 1) == (i % 2 == 0)
@@ -192,16 +174,21 @@ def family_solution(kind: FamilyKind) -> FamilySolution:
             for i in range(m)
         ]
     else:
-        losers = frozenset(range(0, L - 1, 2))
         step = half
         rows = [(0, -1) if i % 2 or i == L else (0, step - 1) for i in range(m)]
-    return FamilySolution(kind, losers, SolutionSet.from_rows(step, rows))
+    return FamilySolution(kind, SolutionSet.from_rows(step, rows))
+
+
+def _check_interval(L: int, M: int) -> None:
+    if not 1 <= _integer(L, None, "move amounts") <= _integer(M, None, "move amounts"):
+        raise BadParams(f"need 1 <= L <= M, got L={L} M={M}")
 
 
 def range_standard(L: int, M: int, n: int) -> Winner:
     """Standard-game winner for the interval set {L..M}."""
-    if not 1 <= L <= M:
-        raise BadParams(f"need 1 <= L <= M, got L={L} M={M}")
+    _check_interval(L, M)
+    if _check_stones(n) < 0:
+        raise BadParams(f"n must be >= 0, got {n}")
     return Winner.OPPONENT if n % (L + M) < L else Winner.MOVER
 
 
@@ -211,7 +198,7 @@ def family_standard(kind_or_range: FamilyKind | tuple[int, int], n: int) -> Winn
         raise BadParams(f"n must be >= 0, got {n}")
     if isinstance(kind_or_range, tuple):
         return range_standard(*kind_or_range, n)
-    return family_solution(kind_or_range).standard_winner(n)
+    return Winner.MOVER if family_solution(kind_or_range).cutoffs(n)[2] else Winner.OPPONENT
 
 
 def family_win(kind: FamilyKind, n: int, d: Funds, e: Funds) -> Winner:
@@ -219,7 +206,7 @@ def family_win(kind: FamilyKind, n: int, d: Funds, e: Funds) -> Winner:
 
     Pipeline: rich cutoffs first, then poor cutoffs, then solution-set
     membership of the corresponding state for the critical remainder, all
-    read off the family's closed forms.
+    measured from the family's cutoffs.
     """
     if _check_stones(n) < 0:
         raise BadParams(f"n must be >= 0, got {n}")
@@ -294,14 +281,13 @@ def conjecture_check(
     the staircase oracle on all critical positions with
     ``n <= critical_n_max`` (default ``min(n_max, 120)``).
     """
-    if not 1 <= L <= M:
-        raise BadParams(f"need 1 <= L <= M, got L={L} M={M}")
+    _check_interval(L, M)
     period = L + M
-    if n_max < 4 * period:
+    if _check_stones(n_max) < 4 * period:
         raise BadParams(f"n_max={n_max} leaves fewer than three periods of {period}")
     if critical_n_max is None:
         critical_n_max = min(n_max, 120)
-    if not 0 <= critical_n_max <= n_max:
+    if not 0 <= _check_stones(critical_n_max) <= n_max:
         raise BadParams(f"critical_n_max must be in 0..n_max={n_max}, got {critical_n_max}")
 
     moves = new_move_set(range(L, M + 1))
@@ -390,7 +376,7 @@ def appendix_check(k_max: int = 12) -> AppendixReport:
     Checks every residue row for ``4 <= k <= k_max`` and reports each cell
     that deviates; the head (n <= 63) is reported as data, not checked.
     """
-    if k_max < 4:
+    if _integer(k_max, None, "period counts") < 4:
         raise BadParams(f"k_max must be >= 4, got {k_max}")
     moves = new_move_set(REFERENCE_MOVES)
     tables = build_thresholds(moves, 16 * k_max + 15)

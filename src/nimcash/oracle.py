@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParams, OutOfRange, ResourceLimit
-from .game import CashState, Funds, MoveSet, Winner, clamp_funds
+from .game import CashState, Funds, MoveSet, Winner, _check_stones, clamp_funds
 from .thresholds import build_thresholds
 
 #: Environment variable overriding the default single-query solver bound.
@@ -57,7 +57,7 @@ DEFAULT_BOUND = 2048
 def _solver_bound(bound: int | None) -> int:
     """``bound``, else ``NIMCASH_MAX_N``, else the default; the one reader of the variable."""
     if bound is not None:
-        return bound
+        return _check_stones(bound)
     text = os.environ.get(BOUND_ENV_VAR, str(DEFAULT_BOUND))
     try:
         return int(text)
@@ -102,11 +102,11 @@ class CashTable:
     """
 
     def __init__(self, moves: MoveSet, n_max: int, cap: int | None = None) -> None:
-        if n_max < 0:
+        if _check_stones(n_max) < 0:
             raise OutOfRange(f"n_max must be >= 0, got {n_max}")
         self.moves = moves
         self.n_max = n_max
-        self.cap = n_max if cap is None else cap
+        self.cap = n_max if cap is None else _check_stones(cap)
         self.win = _build_cube(moves, n_max, self.cap)
         self.win.flags.writeable = False
 

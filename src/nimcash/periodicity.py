@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import BadParams, OutOfRange
-from .game import UNLIMITED, Funds, MoveSet, Winner, _check_funds
+from .game import UNLIMITED, Funds, MoveSet, Winner, _check_funds, _check_stones, _integer
 from .oracle import staircase
 from .thresholds import CutoffSource, Regime, ThresholdTables, critical_cells, regime
 
@@ -123,7 +123,7 @@ def compute_costs(tables: CutoffSource, n: int, a: int) -> tuple[int, int]:
         cost_i(n, a)  = rich_i(n) - rich_ii(n - a) - a
         cost_ii(n, a) = rich_ii(n) - rich_i(n - a)
 
-    ``tables`` is any cutoff source: recursion tables or a family's closed forms.
+    ``tables`` is any cutoff source: recursion tables or a solved family.
     """
     if a not in tables.moves or a > n:
         raise OutOfRange(f"move {a} not applicable at n={n}")
@@ -155,11 +155,11 @@ def corresponding_state(
     """Abstract a position to (residue, mover gap, opponent gap).
 
     The gaps are measured from ``source.cutoffs(n)``: recursion tables, or a
-    solved family's closed forms.  Finite budgets (Python or numpy integers
-    >= 0, else :class:`NonPositiveValue`) enter the gap arithmetic unclamped;
-    clamping is winner-preserving but would break the step identity, since a
-    budget may exceed the stone count mid-line.  An unlimited budget stands
-    in as ``n``.
+    solved family.  Finite budgets (Python or numpy integers >= 0, else
+    :class:`NonPositiveValue`) enter the gap arithmetic unclamped; clamping
+    is winner-preserving but would break the step identity, since a budget
+    may exceed the stone count mid-line.  An unlimited budget stands in as
+    ``n``.
     """
     fi, fii, _ = source.cutoffs(n)
     dc = n if d is UNLIMITED else int(_check_funds(d))
@@ -181,12 +181,14 @@ def detect_cash_period(
     every candidate).  Returns None when no period ``<= m_max`` survives;
     absence is an answer, not an error.
     """
-    if m_max < 1:
+    if tables.moves != moves:
+        raise BadParams(f"tables are for {tables.moves}, not {moves}")
+    if _integer(m_max, None, "periods") < 1:
         raise BadParams(f"m_max must be >= 1, got {m_max}")
     a_max = tables.moves.a_max
     if n_check is None:
         n_check = tables.n_max - a_max
-    if n_check > tables.n_max:
+    if _check_stones(n_check) > tables.n_max:
         raise BadParams(f"n_check={n_check} exceeds table range {tables.n_max}")
     if n_check < 2 * a_max + m_max:
         raise BadParams(
@@ -242,7 +244,7 @@ def verify_solution_set(
     membership uses the candidate's total predicate, so successors may land
     outside the box.
     """
-    if box < 0:
+    if _integer(box, None, "gap boxes") < 0:
         raise BadParams(f"box must be >= 0, got {box}")
     moves = cert.moves
     a1 = moves.a_min
@@ -288,6 +290,8 @@ def induce_candidate(
     corresponding state disagree, which refutes the period for solution-set
     purposes.
     """
+    if not moves == tables.moves == cert.moves:
+        raise BadParams(f"moves {moves}, tables {tables.moves} and certificate {cert.moves} differ")
     tables.check_range(n_max)
     out: dict[CSTriple, Winner] = {}
     consistent = True

@@ -20,7 +20,7 @@ machinery.
 the one decider of this module: callers read its region and mover-wins
 directly.  The rich cutoffs come from ``cutoffs(n)`` of
 :class:`ThresholdTables` (the recursion, up to ``n_max``) or of a solved
-family (closed forms, any ``n``).
+family (the recursion's rows extended by period, any ``n``).
 
 The recursion is memoised per move set (the last 8 move sets are kept):
 each row is computed once, in a Python loop, and the memo grows append-only
@@ -45,7 +45,7 @@ from .errors import OutOfRange
 
 
 class CutoffSource(Protocol):
-    """Where rich cutoffs come from: recursion tables or a family's closed forms."""
+    """Where rich cutoffs come from: recursion tables, or a family's rows extended by period."""
 
     moves: MoveSet
 
@@ -212,7 +212,7 @@ def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
     kept), which computes each row once; the arrays are read-only views of
     exactly ``n_max + 1`` rows.
     """
-    if n_max < 0:
+    if _check_stones(n_max) < 0:
         raise OutOfRange(f"n_max must be >= 0, got {n_max}")
     with _LOOKUP:
         memo = _recursion(moves)
@@ -223,6 +223,7 @@ def build_thresholds(moves: MoveSet, n_max: int) -> ThresholdTables:
 
 def poor_thresholds(moves: MoveSet, n: int) -> PoorCutoffs:
     """Closed-form poor cutoffs; they depend on the move set only through min(A)."""
+    n = _check_stones(n)
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
     a1 = moves.a_min

@@ -1,7 +1,8 @@
 """Plain recursive reference solvers, kept independent of the package.
 
 These are the trusted oracles the production code is checked against: the
-most naive possible implementations, dict-memoized, no shared machinery.
+most naive possible implementations, dict-memoized, no shared machinery;
+``ref_family_cutoffs`` is the solved families' closed forms.
 Budgets here are plain ints (callers clamp or pick small ones).  Only
 ``ref_thresholds`` uses numpy, so that the dtypes of the package's cutoff
 tables can be compared as well as their values.
@@ -91,3 +92,40 @@ def ref_thresholds(values: tuple[int, ...], n_max: int):
                 rich_ii[n - a] + a for a in legal if rich_i[n - a] == rich_ii[n]
             )
     return win, rich_i, rich_ii
+
+
+def ref_family_cutoffs(kind, n: int) -> tuple[int, int, bool]:
+    """``(rich_i, rich_ii, mover wins)`` at ``n`` for a solved family, in closed form.
+
+    These are the paper's win conditions for ``{1, L}`` with ``L`` even
+    (modulus ``L + 1``) and ``{1, L, L+1}`` (modulus ``2L + 1`` for odd ``L``,
+    ``2L`` for even ``L``), written out per residue ``i = n mod modulus``:
+    ``winner`` is the cutoff of the standard-game winner, ``loser`` that of
+    the standard-game loser.  Only ``kind.moves`` is read, so the family is
+    named by its move set alone.
+    """
+    values = kind.moves.values
+    L, half = values[1], values[1] // 2
+    if len(values) == 2:
+        k, i = divmod(n, L + 1)
+        mover_wins = not (i < L - 1 and i % 2 == 0)
+        winner = L * k + (i + 1) // 2 if i < L else L * (k + 1)
+        if n < L:
+            loser = n // 2
+        else:
+            loser = L * k + i // 2 - half + 1 if i < L else L * k + half
+    elif L % 2:
+        k, i = divmod(n, 2 * L + 1)
+        mover_wins = not (i < L and i % 2 == 0)
+        base = (3 * L + 1) * k // 2
+        winner = base + (i + 1) // 2 if i < L + 1 else base + L + (i - L + 1) // 2
+        loser = base + i // 2 if i < L + 2 else base + L + (i - L) // 2
+    else:
+        k, i = divmod(n, 2 * L)
+        mover_wins = not (i < L - 1 and i % 2 == 0)
+        base = 3 * L * k // 2
+        winner = base + (i + 1) // 2 if i < L else base + L + (i - L + 1) // 2
+        loser = base + i // 2 if i < L + 1 else base + L + (i - L) // 2
+    if mover_wins:
+        return winner, loser, True
+    return loser, winner, False

@@ -7,12 +7,15 @@ behind ``solve_cash`` and ``WinEngine.decide`` are compared; so are
 and with move sets drawn from 1..7 and from 2..7 (``min(A) >= 2``).  The
 memoised cutoff recursion behind ``build_thresholds`` is grown through a
 random sequence of ``n_max`` steps and each read is compared with the
-one-shot ``ref_thresholds``.  Runs are derandomized, so the examples are the
-same on every run.
+one-shot ``ref_thresholds``.  ``family_win`` on the solved families with
+``L <= 8`` and ``WinEngine.sweep`` over a box, on family and non-family sets,
+are compared with the recursive reference and the dense cube.  Runs are
+derandomized, so the examples are the same on every run.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -24,7 +27,10 @@ from nimcash import (  # noqa: E402
     WinEngine,
     Winner,
     build_thresholds,
+    family_win,
     new_move_set,
+    one_l,
+    one_l_l1,
     solve_cash,
     wins_miserly,
 )
@@ -36,6 +42,9 @@ N_MAX = 40
 move_sets = st.sets(st.integers(1, 7), min_size=1).map(lambda s: tuple(sorted(s)))
 no_unit_move_sets = st.sets(st.integers(2, 7), min_size=1).map(lambda s: tuple(sorted(s)))
 budgets = st.integers(0, N_MAX + 2)
+family_kinds = st.sampled_from(
+    [one_l(L) for L in range(2, 9, 2)] + [one_l_l1(L) for L in range(2, 9)]
+)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -78,3 +87,30 @@ def test_recursion_memo_matches_reference(values, steps):
             assert arr.dtype == want.dtype and arr.shape == (n_max + 1,)
             assert (arr == want).all(), (values, steps, n_max)
             assert arr.flags.writeable is False
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(kind=family_kinds, n=st.integers(0, N_MAX), d=budgets, e=budgets)
+def test_family_win_matches_reference_and_cube(kind, n, d, e):
+    want = ref_mover_wins(kind.moves.values, n, min(d, n), min(e, n))
+    assert (family_win(kind, n, d, e) is Winner.MOVER) == want
+    assert CashTable(kind.moves, n).mover_wins(n, d, e) == want
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    values=st.one_of(family_kinds.map(lambda kind: kind.moves.values), move_sets),
+    n_hi=st.integers(0, 24),
+    d_hi=st.integers(0, 27),
+    e_hi=st.integers(0, 27),
+)
+def test_sweep_matches_reference_and_cube(values, n_hi, d_hi, e_hi):
+    got = WinEngine(new_move_set(values), n_hi).sweep(n_hi, d_hi, e_hi)
+    cube = CashTable(new_move_set(values), n_hi).win
+    memo: dict = {}
+    for n in range(n_hi + 1):
+        d = np.minimum(np.arange(d_hi + 1), n)
+        e = np.minimum(np.arange(e_hi + 1), n)
+        assert (got[n] == cube[n][np.ix_(d, e)]).all(), (values, n)
+        want = [[ref_mover_wins(values, n, x, y, memo) for y in e.tolist()] for x in d.tolist()]
+        assert got[n].tolist() == want, (values, n)

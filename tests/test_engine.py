@@ -86,7 +86,7 @@ class TestDecide:
 
 
 class TestFamilyCutoffSource:
-    """Family engines read the closed-form cutoffs, which cover every n."""
+    """Family engines read the family's cutoffs, which cover every n."""
 
     @pytest.mark.parametrize("values", [(1, 4), (1, 3, 4), (1, 4, 5), (1, 6)])
     def test_decide_agrees_with_family_win_past_n_max(self, values):
@@ -130,6 +130,8 @@ class TestFamilyCutoffSource:
         def refuse(*args):
             raise AssertionError("a family engine built recursion tables")
 
+        # the family's own rows are read once, by family_solution, not by the engine
+        family_solution(recognize_family(new_move_set(values)))
         monkeypatch.setattr(engine_module, "build_thresholds", refuse)
         monkeypatch.setattr(thresholds_module, "_recursion", refuse)
         engine = WinEngine(new_move_set(values), 30)

@@ -28,8 +28,10 @@ from nimcash import (
     standard_winners,
     verify_solution_set,
 )
-from nimcash.families import REFERENCE_MOVES, FamilySolution
+from nimcash import families
+from nimcash.families import REFERENCE_MOVES
 from nimcash.periodicity import critical_layers
+from reference import ref_family_cutoffs
 
 KINDS = [one_l(2), one_l(4), one_l(6), one_l_l1(3), one_l_l1(5), one_l_l1(7),
          one_l_l1(2), one_l_l1(4), one_l_l1(6)]
@@ -94,8 +96,8 @@ class TestStandardPatterns:
 class TestClosedForms:
     def test_known_values(self):
         sol = family_solution(one_l(4))
-        assert sol.winner_need(13) == 10
-        assert sol.loser_need(9) == 6
+        assert sol.cutoffs(13) == (10, 8, True)  # the winner needs 10 at n = 13
+        assert sol.cutoffs(9)[1:] == (6, True)  # the loser's cutoff at n = 9 is 6
         cert = sol.certificate()
         assert cert.cost_i[(4, 1)] == 3
         assert all(cert.cost_ii[(i, 1)] == 0 for i in range(5))
@@ -125,8 +127,9 @@ class TestClosedForms:
     def test_odd_family_slope(self):
         # the winner's cutoff climbs by (3L+1)/2 per full period
         sol = family_solution(one_l_l1(5))
+        assert sol.cutoffs(0)[2] is False  # n = 0 is lost: the winner is Player II
         for k in range(1, 6):
-            assert sol.winner_need(11 * k) - sol.winner_need(0) == 8 * k
+            assert sol.cutoffs(11 * k)[1] - sol.cutoffs(0)[1] == 8 * k
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cutoffs_match_recursion_everywhere(self, kind, tables_cache):
@@ -181,6 +184,15 @@ class TestEveryInstanceUpTo40:
         assert [family_solution(kind).cutoffs(n) for n in range(n_hi + 1)] == want
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
+    def test_cutoffs_match_the_closed_forms(self, kind):
+        """The extended recursion rows against the paper's closed forms, to 10**15."""
+        sol = family_solution(kind)
+        rng = random.Random(f"closed forms {kind.moves.values}")
+        ns = list(range(kind.moves.a_max + 3 * kind.modulus + 1))
+        ns += [rng.randint(0, 10**15) for _ in range(200)]
+        assert [sol.cutoffs(n) for n in ns] == [ref_family_cutoffs(kind, n) for n in ns]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
     def test_rows_decide_every_critical_cell(self, kind):
         sol = family_solution(kind)
         residues = set()
@@ -227,10 +239,15 @@ class TestRowSets:
 
     def test_certificate_refuses_cutoffs_that_are_not_periodic(self, monkeypatch):
         sol = family_solution(one_l(4))
-        real = FamilySolution.winner_need
-        monkeypatch.setattr(
-            FamilySolution, "winner_need", lambda self, n: real(self, n) + (n == 12)
-        )
+        real = families.build_thresholds
+
+        def glitched(moves, n_max):  # n = 12 is lost: raise the winner's cutoff there
+            t = real(moves, n_max)
+            rich_ii = t.rich_ii.copy()
+            rich_ii[12] += 1
+            return dataclasses.replace(t, rich_ii=rich_ii)
+
+        monkeypatch.setattr(families, "build_thresholds", glitched)
         with pytest.raises(AssertionError, match="not 5-periodic"):
             dataclasses.replace(sol)
 
