@@ -176,7 +176,7 @@ def family_solution(kind: FamilyKind) -> FamilySolution:
     else:
         step = half
         rows = [(0, -1) if i % 2 or i == L else (0, step - 1) for i in range(m)]
-    return FamilySolution(kind, SolutionSet.from_rows(step, rows))
+    return FamilySolution(kind, SolutionSet.from_rows(step, rows, kind.moves))
 
 
 def _check_interval(L: int, M: int) -> None:

@@ -21,7 +21,10 @@ Two representations of the same winner function:
   numpy, bottom-up in ``n``.  It is O(n^3) and assumes nothing about the
   shape of a layer, which makes it the independent reference that the
   staircase and every fast path are checked against; no production path
-  reads it.
+  reads it.  :meth:`CashTable.audit_soundness` rechecks the cube's fixpoint
+  at every cell with a second derivation: it gathers each successor by its
+  flat index, one ``np.take`` per move over blocks of layers, and never
+  reuses the build's transposed shifted-slice update.
 
 Why the staircase form holds: by induction on ``n``.  Layers below ``min(A)``
 are all losses.  If the layers below are staircases, the wins via one move
@@ -107,6 +110,8 @@ class CashTable:
         self.moves = moves
         self.n_max = n_max
         self.cap = n_max if cap is None else _check_stones(cap)
+        if self.cap < 0:
+            raise OutOfRange(f"cap must be >= 0, got {cap}")
         self.win = _build_cube(moves, n_max, self.cap)
         self.win.flags.writeable = False
 
@@ -135,26 +140,39 @@ class CashTable:
         """Recheck the fixpoint at every entry; return offending states.
 
         A state must be a mover win iff some legal move lands the opponent in
-        a loss.  The check re-derives each layer with masked fancy indexing,
-        independent of the shifted-slice construction.
+        a loss.  The check re-derives the cube by gathering each successor
+        by index: with a layer flattened row-major, the successor of
+        ``(n; d, e)`` under move ``a`` is cell ``e*(cap+1) + (d-a)`` of layer
+        ``n - a``.  One flat index over ``d - a``, ``e`` serves every move
+        (move ``a`` reads its first ``cap+1-a`` rows, the legal ``d >= a``),
+        and one ``np.take`` per move gathers a whole block of layers.
+        Blocks hold at most ``1 << 18`` cells (one layer at least), which
+        bounds every temporary.  The audit never calls ``_build_cube`` nor
+        reads a transposed layer, so it stays independent of the
+        shifted-slice construction it checks.  Offending states come in
+        ``(n, d, e)`` row-major order, at most ``limit`` of them.
         """
         bad: list[tuple[int, int, int]] = []
-        cap = self.cap
-        dd, ee = np.meshgrid(np.arange(cap + 1), np.arange(cap + 1), indexing="ij")
-        for n in range(self.n_max + 1):
-            expect = np.zeros((cap + 1, cap + 1), dtype=bool)
+        if limit <= 0:
+            return bad
+        side = self.cap + 1
+        flat = self.win.reshape(self.n_max + 1, side * side)
+        # row d - a, column e: the successor's cell e*side + (d - a)
+        succ_index = (np.arange(side) * side + np.arange(side)[:, None]).ravel()
+        rows = max(1, (1 << 18) // (side * side))
+        for lo in range(0, self.n_max + 1, rows):
+            hi = min(lo + rows, self.n_max + 1)
+            expect = np.zeros((hi - lo, side * side), dtype=bool)
             for a in self.moves:
-                if a > n:
-                    continue
-                legal = dd >= a
-                succ = np.zeros_like(expect)
-                succ[legal] = self.win[n - a][ee[legal], dd[legal] - a]
-                expect |= legal & ~succ
-            mism = np.argwhere(expect != self.win[n])
-            for d, e in mism[: max(0, limit - len(bad))]:
-                bad.append((n, int(d), int(e)))
-            if len(bad) >= limit:
-                break
+                if a >= side or a >= hi:
+                    continue  # no legal d in the cube, or no layer of the block
+                start = max(lo, a)
+                succ = np.take(flat[start - a : hi - a], succ_index[: (side - a) * side], axis=1)
+                expect[start - lo :, a * side :] |= ~succ
+            for row, cell in np.argwhere(expect != flat[lo:hi]).tolist():
+                bad.append((lo + row, *divmod(cell, side)))
+                if len(bad) == limit:
+                    return bad
         return bad
 
 
@@ -163,8 +181,8 @@ def _build_cube(moves: MoveSet, n_max: int, cap: int) -> np.ndarray:
     for n in range(moves.a_min, n_max + 1):
         layer = win[n]
         for a in moves:
-            if a > n:
-                continue
+            if a > n or a > cap:
+                continue  # a > cap: no budget in the cube affords a
             # successor of (n; d, e) is (n-a; e, d-a): row e, column d-a
             lose_next = ~win[n - a].T  # [d-a, e]
             layer[a:, :] |= lose_next[: cap + 1 - a, :]

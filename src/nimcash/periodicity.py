@@ -74,25 +74,38 @@ class SolutionSet:
     integer arrays; for arrays it returns a bool array, or a bool that
     broadcasts, over the gaps' broadcast shape.  ``WinEngine.sweep`` passes
     a whole layer's gaps at once; ``verify_solution_set`` passes ints only.
+
+    ``period`` (one row per residue) and ``moves`` are recorded by
+    :meth:`from_rows`, so a set cannot be checked against another move
+    set's certificate; a predicate-only set carries neither.
     """
 
     contains: Callable[[int, int, int], bool]
     description: str
+    period: int | None = None
+    moves: MoveSet | None = None
 
     def __contains__(self, triple: CSTriple) -> bool:
         return self.contains(triple.residue, triple.mover_gap, triple.opp_gap)
 
     @classmethod
-    def from_rows(cls, step: int, rows: Sequence[tuple[int, int]]) -> SolutionSet:
+    def from_rows(
+        cls, step: int, rows: Sequence[tuple[int, int]], moves: MoveSet | None = None
+    ) -> SolutionSet:
         """Member ``(i, b, b2)`` when ``b2 > step*floor((b - p_i)/step) + q_i``,
-        with ``(p_i, q_i) = rows[i]``: one expression for ints and arrays."""
+        with ``(p_i, q_i) = rows[i]``: one expression for ints and arrays.
+        ``moves`` names the move set whose certificate the rows are for."""
         rows = tuple((int(p), int(q)) for p, q in rows)  # plain ints: scalar calls stay cheap
 
         def contains(i, b, b2):
             p, q = rows[i]
             return b2 > step * ((b - p) // step) + q
 
-        return cls(contains, f"step {step}, rows (p_i, q_i) {list(rows)}")
+        out = cls(contains, f"step {step}, rows (p_i, q_i) {list(rows)}")
+        # set after the two-argument constructor, which perfbench's tracer wraps
+        object.__setattr__(out, "period", len(rows))
+        object.__setattr__(out, "moves", moves)
+        return out
 
 
 @dataclass
@@ -142,11 +155,11 @@ def step_cs(cert: PeriodCertificate, triple: CSTriple, a: int) -> CSTriple:
     cost table; the residue decreases by ``a`` mod the period.
     """
     i = triple.residue % cert.period
-    return CSTriple(
-        (i - a) % cert.period,
-        triple.opp_gap - cert.cost_ii[(i, a)],
-        triple.mover_gap - cert.cost_i[(i, a)],
-    )
+    try:
+        cost_i, cost_ii = cert.cost_i[(i, a)], cert.cost_ii[(i, a)]
+    except KeyError:
+        raise OutOfRange(f"move {a} is not in {cert.moves}") from None
+    return CSTriple((i - a) % cert.period, triple.opp_gap - cost_ii, triple.mover_gap - cost_i)
 
 
 def corresponding_state(
@@ -242,10 +255,18 @@ def verify_solution_set(
     refuted by every move: each successor is a member, or leaves only the
     mover rich, or leaves both rich on a residue the mover wins.  Successor
     membership uses the candidate's total predicate, so successors may land
-    outside the box.
+    outside the box.  A set that records its period or move set
+    (:meth:`SolutionSet.from_rows`) must match the certificate's, else
+    :class:`BadParams`.
     """
     if _integer(box, None, "gap boxes") < 0:
         raise BadParams(f"box must be >= 0, got {box}")
+    if candidate.period not in (None, cert.period):
+        raise BadParams(
+            f"solution set has {candidate.period} residues, certificate period {cert.period}"
+        )
+    if candidate.moves not in (None, cert.moves):
+        raise BadParams(f"solution set is for {candidate.moves}, certificate for {cert.moves}")
     moves = cert.moves
     a1 = moves.a_min
     report = VerificationReport(box=box, checked=0)

@@ -10,6 +10,7 @@ tables can be compared as well as their values.
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -29,6 +30,23 @@ def ref_mover_wins(values: tuple[int, ...], n: int, d: int, e: int,
             if a <= n and a <= d
         )
     return memo[key]
+
+
+def ref_audit(win, values: tuple[int, ...], limit: int) -> list[tuple[int, int, int]]:
+    """Cells ``(n, d, e)`` of a winner cube ``win[n][d][e]`` (budgets unclamped
+    up to its cap) that disagree with their successors, checked one cell at a
+    time: the mover wins iff some ``a <= min(n, d)`` reaches a stored loss
+    ``(n - a; e, d - a)``.  Row-major order, at most ``limit`` of them."""
+    cube = np.asarray(win).tolist()
+    n_max, cap = len(cube) - 1, len(cube[0]) - 1
+    wrong = (
+        (n, d, e)
+        for n in range(n_max + 1)
+        for d in range(cap + 1)
+        for e in range(cap + 1)
+        if cube[n][d][e] != any(not cube[n - a][e][d - a] for a in values if a <= min(n, d))
+    )
+    return list(itertools.islice(wrong, max(limit, 0)))
 
 
 def ref_standard_wins(values: tuple[int, ...], n: int,

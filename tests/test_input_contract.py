@@ -3,8 +3,9 @@
 Sizes (table ranges, bounds, boxes, period counts) and stone counts are
 plain or numpy integers; a float, a bool or a string raises
 :class:`NonPositiveValue`, and a negative value keeps the error its entry
-point has always raised.  Period detection, induction and the engine refuse
-tables and certificates built for another move set.
+point has always raised.  Period detection, induction, the engine and the
+closure check refuse tables, certificates and solution sets built for another
+move set.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from nimcash import (
     BadParams,
     CashState,
     CashTable,
+    CSTriple,
     NonPositiveValue,
     OutOfRange,
     ResourceLimit,
+    SolutionSet,
     WinEngine,
     Winner,
     appendix_check,
@@ -29,10 +32,12 @@ from nimcash import (
     induce_candidate,
     new_move_set,
     one_l,
+    one_l_l1,
     poor_thresholds,
     range_standard,
     solve_cash,
     solve_standard,
+    step_cs,
     verify_solution_set,
 )
 
@@ -51,7 +56,7 @@ SIZED = {
     "WinEngine": (lambda x: WinEngine(TWO_THREE, x), OutOfRange),
     "WinEngine, family": (lambda x: WinEngine(ONE_THREE_FOUR, x), OutOfRange),
     "CashTable": (lambda x: CashTable(TWO_THREE, x), OutOfRange),
-    "CashTable cap": (lambda x: CashTable(TWO_THREE, 5, x), None),
+    "CashTable cap": (lambda x: CashTable(TWO_THREE, 5, x), OutOfRange),
     "solve_standard": (lambda x: solve_standard(TWO_THREE, x), OutOfRange),
     "conjecture_check n_max": (lambda x: conjecture_check(2, 3, x), BadParams),
     "conjecture_check critical": (lambda x: conjecture_check(2, 3, 40, x), BadParams),
@@ -140,3 +145,44 @@ class TestMismatchedMoveSets:
             WinEngine(new_move_set([1, 4, 5]), 20, (sol.certificate(), sol.solution_set))
         engine = WinEngine(new_move_set([1, 4]), 20, (sol.certificate(), sol.solution_set))
         assert engine.decide(13, 8, 7).method == "critical"
+
+
+class TestNegativeCap:
+    @pytest.mark.parametrize("cap", [-1, -3, np.int64(-2)], ids=repr)
+    def test_negative_cap_rejected(self, cap):
+        with pytest.raises(OutOfRange, match="cap must be >= 0"):
+            CashTable(TWO_THREE, 5, cap)
+
+
+class TestCertificateMoves:
+    def test_step_with_a_move_outside_the_set(self):
+        cert = family_solution(one_l(4)).certificate()
+        with pytest.raises(OutOfRange, match="move 7 is not in {1,4}"):
+            step_cs(cert, CSTriple(0, 1, 1), 7)
+        assert step_cs(cert, CSTriple(0, 1, 1), 4) == CSTriple(
+            1, 1 - cert.cost_ii[(0, 4)], 1 - cert.cost_i[(0, 4)]
+        )
+
+    def test_closure_check_refuses_another_periods_set(self):
+        cert = family_solution(one_l_l1(3)).certificate()  # {1,3,4}, period 7
+        with pytest.raises(BadParams, match="5 residues"):
+            verify_solution_set(cert, family_solution(one_l(4)).solution_set, 3)
+
+    def test_closure_check_refuses_another_sets_rows_of_the_same_period(self):
+        cert = family_solution(one_l_l1(3)).certificate()
+        other = family_solution(one_l(6)).solution_set  # {1,6}, also 7 residues
+        assert other.period == cert.period == 7
+        with pytest.raises(BadParams, match="for {1,6}"):
+            verify_solution_set(cert, other, 3)
+
+    def test_sets_without_a_period_or_move_set_stay_accepted(self):
+        sol = family_solution(one_l_l1(3))
+        own = sol.solution_set
+        assert (own.period, own.moves) == (7, sol.moves)
+        assert verify_solution_set(sol.certificate(), own, 5).passed
+        predicate = SolutionSet(own.contains, "predicate only")
+        assert (predicate.period, predicate.moves) == (None, None)
+        assert verify_solution_set(sol.certificate(), predicate, 5).passed
+        rows_only = SolutionSet.from_rows(2, [(0, -1)] * 7)
+        assert (rows_only.period, rows_only.moves) == (7, None)
+        assert verify_solution_set(sol.certificate(), rows_only, 2).checked == 7 * 9

@@ -24,7 +24,7 @@ from nimcash import (
     wins_miserly,
 )
 from nimcash import oracle
-from reference import ref_mover_wins, ref_standard_wins, ref_wins_miserly
+from reference import ref_audit, ref_mover_wins, ref_standard_wins, ref_wins_miserly
 
 SETS = [(1, 3, 4), (1, 4), (2, 3), (3, 5, 6, 10, 11), (1, 2, 5)]
 
@@ -240,6 +240,38 @@ class TestTableInvariants:
         assert any(n in (17, 18, 20, 21) for n, _, _ in bad)
 
 
+class TestAuditDifferential:
+    """``audit_soundness`` against the per-cell ``ref_audit``, on exact lists."""
+
+    def test_matches_reference_on_flipped_cubes(self):
+        rng = random.Random(20261018)
+        flipped = 0
+        for _ in range(40):
+            values = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 4))))
+            n_max = rng.randint(0, 25)
+            for cap in (max(0, n_max - rng.randint(1, 6)), n_max, n_max + rng.randint(1, 6)):
+                table = CashTable(new_move_set(values), n_max, cap)
+                table.win.flags.writeable = True  # deliberately break the contract
+                for _ in range(rng.randint(0, 3)):
+                    cell = rng.randint(0, n_max), rng.randint(0, cap), rng.randint(0, cap)
+                    table.win[cell] = not table.win[cell]
+                    flipped += 1
+                for limit in (0, 1, 4, 10):
+                    got = table.audit_soundness(limit)
+                    assert got == ref_audit(table.win, values, limit), (values, n_max, cap, limit)
+        assert flipped > 100
+
+    def test_matches_reference_across_layer_blocks(self):
+        """At cap 120 a block holds 17 layers; flips sit on both sides of a seam."""
+        table = CashTable(new_move_set([1, 3, 4]), 40, 120)
+        table.win.flags.writeable = True
+        for cell in [(16, 50, 7), (17, 3, 100), (34, 120, 0)]:
+            table.win[cell] = not table.win[cell]
+        for limit in (1, 4, 12):
+            assert table.audit_soundness(limit) == ref_audit(table.win, (1, 3, 4), limit)
+        assert table.audit_soundness(-3) == []
+
+
 class TestRandomSets:
     def test_cube_vs_reference_on_random_move_sets(self):
         rng = random.Random(20250811)
@@ -255,6 +287,20 @@ class TestRandomSets:
                         assert table.mover_wins(n, d, e) == ref_mover_wins(
                             values, n, d, e, memo
                         ), (values, n, d, e)
+
+    @pytest.mark.parametrize("values", [(1, 3, 4), (2, 5), (3, 5, 6, 10, 11), (1, 8)])
+    def test_caps_below_the_largest_move(self, values):
+        """A cap below a move leaves that move unaffordable, not a build error."""
+        ms = new_move_set(values)
+        for cap in range(ms.a_max):
+            table = CashTable(ms, 30, cap)
+            memo: dict = {}
+            for n in range(31):
+                for d in range(cap + 1):
+                    for e in range(cap + 1):
+                        assert table.win[n, d, e] == ref_mover_wins(values, n, d, e, memo), (
+                            values, cap, n, d, e)
+            assert table.audit_soundness() == []
 
     def test_singleton_move_set(self):
         ms = new_move_set([5])
