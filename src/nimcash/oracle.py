@@ -21,10 +21,14 @@ Two representations of the same winner function:
   numpy, bottom-up in ``n``.  It is O(n^3) and assumes nothing about the
   shape of a layer, which makes it the independent reference that the
   staircase and every fast path are checked against; no production path
-  reads it.  :meth:`CashTable.audit_soundness` rechecks the cube's fixpoint
-  at every cell with a second derivation: it gathers each successor by its
-  flat index, one ``np.take`` per move over blocks of layers, and never
-  reuses the build's transposed shifted-slice update.
+  reads it.  The build transposes each finished layer once into a
+  C-contiguous "successor lost" array and keeps the last ``max(A)`` of them
+  (at most ``max(A)*(cap+1)^2`` bytes), so each move's update of a layer is
+  one contiguous shifted-slice OR.  :meth:`CashTable.audit_soundness`
+  rechecks the cube's fixpoint at every cell with a second derivation: it
+  gathers each successor by its flat index, one ``np.take`` per move over
+  blocks of layers, locates offending cells only in a block that has one,
+  and never reuses the build's transposed layers.
 
 Why the staircase form holds: by induction on ``n``.  Layers below ``min(A)``
 are all losses.  If the layers below are staircases, the wins via one move
@@ -147,10 +151,13 @@ class CashTable:
         (move ``a`` reads its first ``cap+1-a`` rows, the legal ``d >= a``),
         and one ``np.take`` per move gathers a whole block of layers.
         Blocks hold at most ``1 << 18`` cells (one layer at least), which
-        bounds every temporary.  The audit never calls ``_build_cube`` nor
-        reads a transposed layer, so it stays independent of the
-        shifted-slice construction it checks.  Offending states come in
-        ``(n, d, e)`` row-major order, at most ``limit`` of them.
+        bounds every temporary.  Each block is compared with the cube once;
+        offending cells are located (a 2-D ``nonzero``) only in a block
+        where the comparison found one, so a clean cube pays for no locate.
+        The audit never calls ``_build_cube`` nor reads a transposed layer,
+        so it stays independent of the shifted-slice construction it
+        checks.  Offending states come in ``(n, d, e)`` row-major order, at
+        most ``limit`` of them.
         """
         bad: list[tuple[int, int, int]] = []
         if limit <= 0:
@@ -169,7 +176,10 @@ class CashTable:
                 start = max(lo, a)
                 succ = np.take(flat[start - a : hi - a], succ_index[: (side - a) * side], axis=1)
                 expect[start - lo :, a * side :] |= ~succ
-            for row, cell in np.argwhere(expect != flat[lo:hi]).tolist():
+            wrong = np.not_equal(expect, flat[lo:hi], out=expect)
+            if not wrong.any():
+                continue  # a clean block: nothing to locate
+            for row, cell in np.argwhere(wrong).tolist():
                 bad.append((lo + row, *divmod(cell, side)))
                 if len(bad) == limit:
                     return bad
@@ -178,14 +188,18 @@ class CashTable:
 
 def _build_cube(moves: MoveSet, n_max: int, cap: int) -> np.ndarray:
     win = np.zeros((n_max + 1, cap + 1, cap + 1), dtype=bool)
-    for n in range(moves.a_min, n_max + 1):
+    # lose_t[s][d - a, e]: the successor (s; e, d - a) is lost for its mover.
+    # Each layer is transposed once, C-contiguous, and kept while a move can
+    # reach it (the last max(A) layers), so every update is a contiguous OR.
+    lose_t: dict[int, np.ndarray] = {}
+    for n in range(n_max + 1):
         layer = win[n]
         for a in moves:
             if a > n or a > cap:
                 continue  # a > cap: no budget in the cube affords a
-            # successor of (n; d, e) is (n-a; e, d-a): row e, column d-a
-            lose_next = ~win[n - a].T  # [d-a, e]
-            layer[a:, :] |= lose_next[: cap + 1 - a, :]
+            layer[a:, :] |= lose_t[n - a][: cap + 1 - a, :]
+        lose_t[n] = np.ascontiguousarray((~layer).T)
+        lose_t.pop(n - moves.a_max, None)
     return win
 
 
@@ -273,8 +287,11 @@ def wins_miserly(moves: MoveSet, state: CashState, who: Winner) -> bool:
     The designated player must play ``min(A)`` whenever it is their turn and
     loses on the spot if they cannot; the other player ranges over all legal
     replies.  ``who`` names the designated player relative to ``state``.
+    Raises :class:`ResourceLimit` past the solver bound, as :func:`solve_cash`
+    does: the recursion keeps about ``n^2 / min(A)`` bytes.
     """
     n, d, e = state.clamped()
+    _check_solver_bound(n)
     a1 = moves.a_min
     des_funds, free_funds = (d, e) if who is Winner.MOVER else (e, d)
     # des[s][k] / free[s][k]: does the designated player win with s stones

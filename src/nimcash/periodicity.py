@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import BadParams, OutOfRange
 from .game import UNLIMITED, Funds, MoveSet, Winner, _check_funds, _check_stones, _integer
 from .oracle import staircase
@@ -155,11 +157,16 @@ def step_cs(cert: PeriodCertificate, triple: CSTriple, a: int) -> CSTriple:
     cost table; the residue decreases by ``a`` mod the period.
     """
     i = triple.residue % cert.period
+    cost_i, cost_ii = _step_costs(cert, i, a)
+    return CSTriple((i - a) % cert.period, triple.opp_gap - cost_ii, triple.mover_gap - cost_i)
+
+
+def _step_costs(cert: PeriodCertificate, i: int, a: int) -> tuple[int, int]:
+    """``(cost_i, cost_ii)`` of move ``a`` from residue ``i``; OutOfRange for a foreign move."""
     try:
-        cost_i, cost_ii = cert.cost_i[(i, a)], cert.cost_ii[(i, a)]
+        return cert.cost_i[(i, a)], cert.cost_ii[(i, a)]
     except KeyError:
         raise OutOfRange(f"move {a} is not in {cert.moves}") from None
-    return CSTriple((i - a) % cert.period, triple.opp_gap - cost_ii, triple.mover_gap - cost_i)
 
 
 def corresponding_state(
@@ -208,7 +215,10 @@ def detect_cash_period(
             f"n_check={n_check} too small to cover every residue up to m_max={m_max}"
         )
 
-    cutoffs = [tables.cutoffs(n) for n in range(n_check + 1)]  # one read per n
+    rows = slice(n_check + 1)  # one read of the rows, as cutoffs(n) tuples
+    cutoffs = list(
+        zip(tables.rich_i[rows].tolist(), tables.rich_ii[rows].tolist(), tables.winners[rows].tolist())
+    )
     for m in range(1, m_max + 1):
         cert = _try_period(moves, cutoffs, m, n_check)
         if cert is not None:
@@ -267,34 +277,35 @@ def verify_solution_set(
         )
     if candidate.moves not in (None, cert.moves):
         raise BadParams(f"solution set is for {candidate.moves}, certificate for {cert.moves}")
-    moves = cert.moves
-    a1 = moves.a_min
-    report = VerificationReport(box=box, checked=0)
-    for i in range(cert.period):
+    contains = candidate.contains
+    period = cert.period
+    # per residue: (successor residue, cost_i, cost_ii, a) of each move, min(A) first
+    steps = [
+        [((i - a) % period, *_step_costs(cert, i, a), a) for a in cert.moves]
+        for i in range(period)
+    ]
+    rich_both_mover = [w is Winner.MOVER for w in cert.winner_pattern]
+    report = VerificationReport(box=box, checked=period * (box + 1) ** 2)
+    for i in range(period):
         for b in range(box + 1):
             for b2 in range(box + 1):
-                triple = CSTriple(i, b, b2)
-                report.checked += 1
-                if candidate.contains(i, b, b2):
-                    succ = step_cs(cert, triple, a1)
-                    if _successor_mover_wins(cert, candidate, succ):
-                        report.violations.append(Violation(triple, "member", a1, succ))
-                else:
-                    for a in moves:
-                        succ = step_cs(cert, triple, a)
-                        if not _successor_mover_wins(cert, candidate, succ):
-                            report.violations.append(Violation(triple, "non-member", a, succ))
+                member = bool(contains(i, b, b2))
+                # a member must survive min(A); a non-member is refuted by every move
+                for j, cost_i, cost_ii, a in steps[i][:1] if member else steps[i]:
+                    # the successor (j, mg, og); a negative gap means that side is rich
+                    mg, og = b2 - cost_ii, b - cost_i
+                    if mg >= 0 and og >= 0:
+                        succ_wins = bool(contains(j, mg, og))
+                    elif mg < 0 and og < 0:
+                        succ_wins = rich_both_mover[j]
+                    else:
+                        succ_wins = mg < 0
+                    if succ_wins is member:
+                        report.violations.append(Violation(
+                            CSTriple(i, b, b2), "member" if member else "non-member", a,
+                            CSTriple(j, mg, og),
+                        ))
     return report
-
-
-def _successor_mover_wins(cert: PeriodCertificate, x: SolutionSet, succ: CSTriple) -> bool:
-    """Who wins a successor, read off its gaps; a negative gap means that side is rich."""
-    mg, og = succ.mover_gap, succ.opp_gap
-    if mg >= 0 and og >= 0:
-        return x.contains(succ.residue, mg, og)
-    if mg < 0 and og < 0:
-        return cert.pattern_winner(succ.residue) is Winner.MOVER
-    return mg < 0
 
 
 def induce_candidate(
@@ -309,18 +320,30 @@ def induce_candidate(
     :func:`critical_layers`.  The map is extensional only; :func:`covered_box`
     bounds where it can be read.  ``consistent`` is False when two positions sharing a
     corresponding state disagree, which refutes the period for solution-set
-    purposes.
+    purposes.  Each state keeps the winner of its first cell, and states come
+    in the order first met: the cells are keyed by one integer per state and
+    grouped with one ``np.unique``.
     """
     if not moves == tables.moves == cert.moves:
         raise BadParams(f"moves {moves}, tables {tables.moves} and certificate {cert.moves} differ")
     tables.check_range(n_max)
-    out: dict[CSTriple, Winner] = {}
-    consistent = True
-    for n, _, _, mover_gap, opp_gap, wins in critical_layers(tables, n_max):
-        for x, y, win in zip(mover_gap.tolist(), opp_gap.tolist(), wins.tolist()):
-            w = Winner.MOVER if win else Winner.OPPONENT
-            if out.setdefault(CSTriple(n % cert.period, x, y), w) is not w:
-                consistent = False
+    found = list(critical_layers(tables, n_max))
+    sizes = [len(layer[5]) for layer in found]
+    x, y, wins = (np.concatenate([layer[k] for layer in found]) for k in (3, 4, 5))
+    if not wins.size:
+        return {}, True
+    residue = np.repeat(np.arange(n_max + 1) % cert.period, sizes)
+    # one int64 key per corresponding state; gaps lie in [0, n_max), so keys
+    # stay below period * n_max**2
+    x_width, y_width = int(x.max()) + 1, int(y.max()) + 1
+    key = (residue * x_width + x) * y_width + y
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    consistent = bool((wins == wins[first][inverse]).all())
+    first.sort()  # each state's first cell, in the order the cells were seen
+    out = {
+        CSTriple(r, g, h): Winner.MOVER if w else Winner.OPPONENT
+        for r, g, h, w in zip(*(col[first].tolist() for col in (residue, x, y, wins)))
+    }
     return out, consistent
 
 

@@ -5,7 +5,11 @@ most naive possible implementations, dict-memoized, no shared machinery;
 ``ref_family_cutoffs`` is the solved families' closed forms.
 Budgets here are plain ints (callers clamp or pick small ones).  Only
 ``ref_thresholds`` uses numpy, so that the dtypes of the package's cutoff
-tables can be compared as well as their values.
+tables can be compared as well as their values.  ``ref_closure`` and
+``ref_induce`` recheck the loops of the closure check and of induction one
+triple or cell at a time; they take the package's one-move step
+(``step_cs``) and critical cells as given, which other tests check
+against the game.
 """
 
 from __future__ import annotations
@@ -47,6 +51,60 @@ def ref_audit(win, values: tuple[int, ...], limit: int) -> list[tuple[int, int, 
         if cube[n][d][e] != any(not cube[n - a][e][d - a] for a in values if a <= min(n, d))
     )
     return list(itertools.islice(wrong, max(limit, 0)))
+
+
+def ref_closure(cert, contains, box: int) -> list[tuple]:
+    """Violations of the two closure clauses on the gap box ``[0, box]^2`` as
+    ``(triple, clause, move, successor)``, one triple and one move at a time.
+
+    A member must survive the least move; a non-member must be refuted by
+    every move.  A successor's mover wins by membership when both gaps are
+    >= 0, by the certificate's winner pattern when both are negative (both
+    rich), and otherwise exactly when the mover is the rich side.
+    """
+    from nimcash import CSTriple, Winner, step_cs
+
+    def mover_wins(t) -> bool:
+        if t.mover_gap >= 0 and t.opp_gap >= 0:
+            return bool(contains(t.residue, t.mover_gap, t.opp_gap))
+        if t.mover_gap < 0 and t.opp_gap < 0:
+            return cert.pattern_winner(t.residue) is Winner.MOVER
+        return t.mover_gap < 0
+
+    out = []
+    for i in range(cert.period):
+        for b in range(box + 1):
+            for b2 in range(box + 1):
+                triple = CSTriple(i, b, b2)
+                if contains(i, b, b2):
+                    a = min(cert.moves.values)
+                    succ = step_cs(cert, triple, a)
+                    if mover_wins(succ):
+                        out.append((triple, "member", a, succ))
+                else:
+                    for a in cert.moves.values:
+                        succ = step_cs(cert, triple, a)
+                        if not mover_wins(succ):
+                            out.append((triple, "non-member", a, succ))
+    return out
+
+
+def ref_induce(layers, period: int) -> tuple[dict, bool]:
+    """Each critical cell's corresponding state ``(n % period, mover_gap,
+    opp_gap)`` mapped to the mover's win, one cell at a time.
+
+    ``layers`` yields ``(n, d, e, mover_gap, opp_gap, wins)`` per layer, as
+    ``periodicity.critical_layers`` does.  A state keeps the winner of its
+    first cell, states in the order first seen; ``consistent`` is False once
+    a later cell of a state disagrees.
+    """
+    out: dict = {}
+    consistent = True
+    for n, _, _, mover_gap, opp_gap, wins in layers:
+        for x, y, win in zip(mover_gap.tolist(), opp_gap.tolist(), wins.tolist()):
+            if out.setdefault((n % period, x, y), win) != win:
+                consistent = False
+    return out, consistent
 
 
 def ref_standard_wins(values: tuple[int, ...], n: int,

@@ -39,7 +39,10 @@ from nimcash import (
     solve_standard,
     step_cs,
     verify_solution_set,
+    wins_miserly,
 )
+from nimcash import oracle
+from reference import ref_mover_wins, ref_wins_miserly
 
 TWO_THREE = new_move_set([2, 3])
 ONE_THREE_FOUR = new_move_set([1, 3, 4])
@@ -145,6 +148,43 @@ class TestMismatchedMoveSets:
             WinEngine(new_move_set([1, 4, 5]), 20, (sol.certificate(), sol.solution_set))
         engine = WinEngine(new_move_set([1, 4]), 20, (sol.certificate(), sol.solution_set))
         assert engine.decide(13, 8, 7).method == "critical"
+
+
+class _NoWork:
+    """Stands in for numpy: any use of it means work began."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the bound check")
+
+
+class TestSolverBound:
+    """The single-position solvers keep about ``n^2`` bytes, so each refuses
+    ``n`` past ``NIMCASH_MAX_N`` before any work, and answers once it is raised."""
+
+    # (solver, its reference); the mover of (n; d, e) is asked about
+    SOLVERS = {
+        "solve_cash": (
+            lambda s: solve_cash(ONE_THREE_FOUR, s).winner is Winner.MOVER,
+            lambda n, d, e: ref_mover_wins((1, 3, 4), n, d, e),
+        ),
+        "wins_miserly": (
+            lambda s: wins_miserly(ONE_THREE_FOUR, s, Winner.MOVER),
+            lambda n, d, e: ref_wins_miserly((1, 3, 4), n, d, e, True),
+        ),
+    }
+
+    @pytest.mark.parametrize("site", SOLVERS)
+    def test_bound_applies_before_any_work(self, site, monkeypatch):
+        call, reference = self.SOLVERS[site]
+        bound = 40
+        state = CashState(bound + 1, 9, 7)
+        monkeypatch.setenv(oracle.BOUND_ENV_VAR, str(bound))
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "np", _NoWork())
+            with pytest.raises(ResourceLimit, match=f"exceeds solver bound {bound}"):
+                call(state)
+        monkeypatch.setenv(oracle.BOUND_ENV_VAR, str(bound + 1))
+        assert call(state) == reference(bound + 1, 9, 7)
 
 
 class TestNegativeCap:

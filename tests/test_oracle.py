@@ -302,6 +302,19 @@ class TestRandomSets:
                             values, cap, n, d, e)
             assert table.audit_soundness() == []
 
+    def test_tables_below_the_largest_move(self):
+        """n_max < max(A): the largest move never applies, at every cap up to max(A)+1."""
+        values = (1, 40)
+        ms = new_move_set(values)
+        memo: dict = {}
+        side = ms.a_max + 2
+        want = np.array([[[ref_mover_wins(values, n, d, e, memo) for e in range(side)]
+                          for d in range(side)] for n in range(11)])
+        for cap in range(side):
+            table = CashTable(ms, 10, cap)
+            assert np.array_equal(table.win, want[:, : cap + 1, : cap + 1]), cap
+            assert table.audit_soundness() == []
+
     def test_singleton_move_set(self):
         ms = new_move_set([5])
         assert solve_standard(ms, 5) is Winner.MOVER

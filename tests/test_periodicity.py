@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,11 @@ from nimcash import (
     step_cs,
     verify_solution_set,
 )
-from nimcash.periodicity import covered_box
+from nimcash.periodicity import covered_box, critical_layers
+from reference import ref_closure, ref_induce
+
+# every solved-family instance with L <= 8
+SMALL_KINDS = [one_l(L) for L in range(2, 9, 2)] + [one_l_l1(L) for L in range(2, 9)]
 
 
 class TestComputeCosts:
@@ -180,6 +186,98 @@ class TestVerifySolutionSet:
         first = report.violations[0]
         assert first.clause in ("member", "non-member")
         assert isinstance(first.successor, CSTriple)
+
+
+def _step_and_rows(solution_set):
+    """The step and rows that ``SolutionSet.from_rows`` wrote into a description."""
+    step, _, rows = solution_set.description.partition(", rows (p_i, q_i) ")
+    return int(step.removeprefix("step ")), ast.literal_eval(rows)
+
+
+def _violations(report):
+    return [(v.triple, v.clause, v.move, v.successor) for v in report.violations]
+
+
+class TestClosureDifferential:
+    """``verify_solution_set`` against the triple-at-a-time ``ref_closure``, on
+    exact violation lists."""
+
+    BOX = 9  # every one-row mutant of these sets fails by gap 9
+
+    @pytest.mark.parametrize("kind", SMALL_KINDS, ids=lambda kind: str(kind.moves))
+    def test_one_row_mutants_of_family_sets(self, kind):
+        sol = family_solution(kind)
+        cert = sol.certificate()
+        step, rows = _step_and_rows(sol.solution_set)
+        assert len(rows) == cert.period
+        mutants = []
+        for i, (p, q) in enumerate(rows):
+            for dp, dq in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                changed = list(rows)
+                changed[i] = (p + dp, q + dq)
+                mutants.append(SolutionSet.from_rows(step, changed, kind.moves))
+        assert _violations(verify_solution_set(cert, sol.solution_set, self.BOX)) == []
+        failing = 0
+        for x in mutants:
+            report = verify_solution_set(cert, x, self.BOX)
+            assert report.checked == cert.period * (self.BOX + 1) ** 2
+            want = ref_closure(cert, x.contains, self.BOX)
+            assert _violations(report) == want, x.description
+            failing += bool(want)
+        assert failing == len(mutants)
+
+    def test_predicate_only_set(self, tables_cache):
+        """The induced {1,3,4} map as a predicate, checked past its covered box."""
+        ms = new_move_set([1, 3, 4])
+        t = tables_cache((1, 3, 4), 400)
+        cert = detect_cash_period(ms, t, 16, 300)
+        induced, _ = induce_candidate(ms, t, cert, 80)
+        members = {cs for cs, w in induced.items() if w is Winner.MOVER}
+        x = SolutionSet(lambda i, b, b2: CSTriple(i, b, b2) in members, "induced")
+        for box in (0, 13, 16):
+            want = ref_closure(cert, x.contains, box)
+            assert _violations(verify_solution_set(cert, x, box)) == want
+            assert bool(want) == (box > 13)
+
+
+class TestInduceDifferential:
+    """``induce_candidate`` against the cell-at-a-time ``ref_induce``, on exact
+    items and their order."""
+
+    @staticmethod
+    def _check(values, cert, n_max, tables_cache):
+        ms = new_move_set(values)
+        t = tables_cache(values, max(n_max, 1))
+        got, consistent = induce_candidate(ms, t, cert, n_max)
+        want, want_consistent = ref_induce(critical_layers(t, n_max), cert.period)
+        assert all(type(cs) is CSTriple for cs in got)
+        assert [((cs.residue, cs.mover_gap, cs.opp_gap), w is Winner.MOVER)
+                for cs, w in got.items()] == list(want.items())
+        assert consistent == want_consistent
+        return got, consistent
+
+    @pytest.mark.parametrize("values, n_max", [
+        ((1, 3, 4), 0), ((1, 3, 4), 30), ((1, 3, 4), 120), ((1, 2, 5), 90), ((1, 4, 5), 70),
+    ])
+    def test_detected_certificates(self, values, n_max, tables_cache):
+        cert = detect_cash_period(new_move_set(values), tables_cache(values, 400), 16, 300)
+        got, consistent = self._check(values, cert, n_max, tables_cache)
+        assert consistent and bool(got) == (n_max > 0)
+
+    @pytest.mark.parametrize("kind", SMALL_KINDS, ids=lambda kind: str(kind.moves))
+    def test_family_certificates(self, kind, tables_cache):
+        n_max = 3 * kind.modulus + 2 * kind.moves.a_max
+        got, consistent = self._check(
+            kind.moves.values, family_solution(kind).certificate(), n_max, tables_cache
+        )
+        assert consistent and got
+
+    @pytest.mark.parametrize("values", [(1, 3, 4), (2, 3), (3, 5, 6, 10, 11)])
+    def test_period_one_certificate_is_inconsistent(self, values, tables_cache):
+        ms = new_move_set(values)
+        cert = PeriodCertificate(ms, 1, (Winner.MOVER,), {}, {}, 0)
+        got, consistent = self._check(values, cert, 60, tables_cache)
+        assert got and not consistent
 
 
 class TestInduceCandidate:
