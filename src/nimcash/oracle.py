@@ -26,9 +26,12 @@ Two representations of the same winner function:
   (at most ``max(A)*(cap+1)^2`` bytes), so each move's update of a layer is
   one contiguous shifted-slice OR.  :meth:`CashTable.audit_soundness`
   rechecks the cube's fixpoint at every cell with a second derivation: it
-  gathers each successor by its flat index, one ``np.take`` per move over
-  blocks of layers, locates offending cells only in a block that has one,
-  and never reuses the build's transposed layers.
+  gathers each successor by its flat index, one ``np.take`` per block of at
+  least ``max(A)`` layers, so each layer is gathered once; a move reads the
+  gather of this block and of the one before.  Its temporaries are at most
+  three blocks of ``max(max(A), 2**18/(cap+1)^2)`` layers.  It locates
+  offending cells only in a block that has one, and never reuses the
+  build's transposed layers.
 
 Why the staircase form holds: by induction on ``n``.  Layers below ``min(A)``
 are all losses.  If the layers below are staircases, the wins via one move
@@ -53,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadParams, OutOfRange, ResourceLimit
-from .game import CashState, Funds, MoveSet, Winner, _check_stones, clamp_funds
+from .game import CashState, Funds, MoveSet, Winner, _check_stones, _integer, clamp_funds
 from .thresholds import build_thresholds
 
 #: Environment variable overriding the default single-query solver bound.
@@ -147,35 +150,49 @@ class CashTable:
         a loss.  The check re-derives the cube by gathering each successor
         by index: with a layer flattened row-major, the successor of
         ``(n; d, e)`` under move ``a`` is cell ``e*(cap+1) + (d-a)`` of layer
-        ``n - a``.  One flat index over ``d - a``, ``e`` serves every move
-        (move ``a`` reads its first ``cap+1-a`` rows, the legal ``d >= a``),
-        and one ``np.take`` per move gathers a whole block of layers.
-        Blocks hold at most ``1 << 18`` cells (one layer at least), which
-        bounds every temporary.  Each block is compared with the cube once;
-        offending cells are located (a 2-D ``nonzero``) only in a block
-        where the comparison found one, so a clean cube pays for no locate.
-        The audit never calls ``_build_cube`` nor reads a transposed layer,
-        so it stays independent of the shifted-slice construction it
-        checks.  Offending states come in ``(n, d, e)`` row-major order, at
-        most ``limit`` of them.
+        ``n - a``.  One ``np.take`` per block of layers gathers every layer
+        of the block once, over the full ``d - a``, ``e`` index, and is
+        negated in place into the block's "successor lost" rows; every move
+        reads that one gather (move ``a`` reads its first ``cap+1-a`` rows,
+        the legal ``d >= a``).  A block holds ``max(max(A), 2**18 /
+        (cap+1)**2)`` layers, at least ``max(A)``, so a move reaches back at
+        most into the block before, whose gather is kept: each move is at
+        most two contiguous ORs, one from the previous block's gather and one
+        from this block's.  The temporaries are three blocks: the previous
+        gather, this gather and the expected block.  Each block is compared
+        with the cube once; offending cells are located (a 2-D ``nonzero``)
+        only in a block where the comparison found one, so a clean cube pays
+        for no locate.  The audit never calls ``_build_cube``, nor reads or
+        makes a transposed layer, so it stays independent of the
+        shifted-slice construction it checks.  Offending states come in
+        ``(n, d, e)`` row-major order, at most ``limit`` of them; ``limit``
+        is an integer, and one below 1 returns no state.
         """
         bad: list[tuple[int, int, int]] = []
+        limit = _integer(limit, None, "audit limits")
         if limit <= 0:
             return bad
         side = self.cap + 1
         flat = self.win.reshape(self.n_max + 1, side * side)
         # row d - a, column e: the successor's cell e*side + (d - a)
         succ_index = (np.arange(side) * side + np.arange(side)[:, None]).ravel()
-        rows = max(1, (1 << 18) // (side * side))
+        rows = max(self.moves.a_max, (1 << 18) // (side * side), 1)
+        prev = None  # the previous block's "successor lost" rows, all ``rows`` of them
         for lo in range(0, self.n_max + 1, rows):
             hi = min(lo + rows, self.n_max + 1)
+            cur = np.take(flat[lo:hi], succ_index, axis=1)
+            np.logical_not(cur, out=cur)
             expect = np.zeros((hi - lo, side * side), dtype=bool)
             for a in self.moves:
                 if a >= side or a >= hi:
                     continue  # no legal d in the cube, or no layer of the block
-                start = max(lo, a)
-                succ = np.take(flat[start - a : hi - a], succ_index[: (side - a) * side], axis=1)
-                expect[start - lo :, a * side :] |= ~succ
+                cells = (side - a) * side
+                if prev is not None:  # layers lo..lo+a-1 reach back into prev
+                    head = min(a, hi - lo)
+                    expect[:head, a * side :] |= prev[rows - a : rows - a + head, :cells]
+                if a < hi - lo:  # layers lo+a..hi-1 reach into this block
+                    expect[a:, a * side :] |= cur[: hi - lo - a, :cells]
+            prev = cur
             wrong = np.not_equal(expect, flat[lo:hi], out=expect)
             if not wrong.any():
                 continue  # a clean block: nothing to locate

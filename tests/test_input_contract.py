@@ -194,6 +194,26 @@ class TestNegativeCap:
             CashTable(TWO_THREE, 5, cap)
 
 
+class TestAuditLimit:
+    @staticmethod
+    def _flipped():
+        table = CashTable(ONE_THREE_FOUR, 12)
+        table.win.flags.writeable = True  # deliberately break the contract
+        for cell in [(5, 2, 2), (9, 4, 1), (12, 7, 7)]:
+            table.win[cell] = not table.win[cell]
+        return table
+
+    @pytest.mark.parametrize("limit", [None, "3", 2.5, True], ids=repr)
+    def test_limits_outside_the_rule_rejected(self, limit):
+        with pytest.raises(NonPositiveValue, match="audit limits"):
+            self._flipped().audit_soundness(limit)
+
+    def test_integer_limits_keep_their_meaning(self):
+        table = self._flipped()
+        assert len(table.audit_soundness(np.int64(2))) == 2
+        assert table.audit_soundness(0) == table.audit_soundness(-1) == []
+
+
 class TestCertificateMoves:
     def test_step_with_a_move_outside_the_set(self):
         cert = family_solution(one_l(4)).certificate()

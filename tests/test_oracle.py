@@ -271,6 +271,33 @@ class TestAuditDifferential:
             assert table.audit_soundness(limit) == ref_audit(table.win, (1, 3, 4), limit)
         assert table.audit_soundness(-3) == []
 
+    @pytest.mark.parametrize(
+        "values, n_max, cap, flips",
+        [
+            # blocks of 11 layers: [0, 11), [11, 22), [22, 33), [33, 41)
+            ((3, 5, 6, 10, 11), 40, 200,
+             [(21, 60, 60), (22, 150, 3), (25, 11, 190), (32, 200, 0), (33, 17, 17),
+              (40, 100, 100)]),
+            # blocks of 8 layers: [0, 8), [8, 16), [16, 24), [24, 31)
+            ((1, 8), 30, 250,
+             [(7, 9, 2), (8, 240, 5), (12, 1, 1), (15, 30, 250), (16, 8, 0), (30, 249, 249)]),
+        ],
+        ids=["3-5-6-10-11", "1-8"],
+    )
+    def test_matches_reference_across_block_seams(self, values, n_max, cap, flips):
+        """A block holds exactly max(A) layers and the last block is short; flips
+        sit on the first layers of a block, whose successors lie in the block
+        before, and on the last layer."""
+        table = CashTable(new_move_set(values), n_max, cap)
+        assert table.audit_soundness() == []
+        table.win.flags.writeable = True
+        for cell in flips:
+            table.win[cell] = not table.win[cell]
+        for limit in (1, 4, 12):
+            got = table.audit_soundness(limit)
+            assert got == ref_audit(table.win, values, limit), limit
+            assert got[0] == flips[0]
+
 
 class TestRandomSets:
     def test_cube_vs_reference_on_random_move_sets(self):

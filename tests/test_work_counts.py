@@ -1,15 +1,19 @@
 """Work-count guards: repeated calls reuse what the process already built.
 
 Counts, not timings: a wrapper around the recursion memo's row-growth step
-counts the rows it computes, and a wrapper around ``ArgumentParser``
-construction counts the parsers the CLI builds.
+counts the rows it computes, a wrapper around ``ArgumentParser``
+construction counts the parsers the CLI builds, and a wrapper around
+``numpy.take`` counts the cells the cube audit gathers.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from nimcash import WinEngine, cli, new_move_set, thresholds
+import numpy as np
+import pytest
+
+from nimcash import CashTable, WinEngine, cli, new_move_set, thresholds
 
 
 def test_each_cutoff_row_is_computed_once(monkeypatch, capsys):
@@ -51,3 +55,23 @@ def test_two_cli_calls_build_the_parser_once(monkeypatch, capsys):
     assert len(built) == first
     out = capsys.readouterr().out
     assert out.count("Player I wins") == 2
+
+
+@pytest.mark.parametrize(
+    "values, n_max, cap",
+    [((1, 3, 4), 40, 40), ((3, 5, 6, 10, 11), 40, 200), ((3, 5, 6, 10, 11), 40, 7)],
+    ids=["1-3-4 at 40^3", "3-5-6-10-11 at cap 200", "cap below max(A)"],
+)
+def test_audit_gathers_each_layer_once(monkeypatch, values, n_max, cap):
+    table = CashTable(new_move_set(values), n_max, cap)
+    gathered: list[int] = []
+    real = np.take
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        gathered.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "take", counted)
+    assert table.audit_soundness() == []
+    assert sum(gathered) == (n_max + 1) * (cap + 1) ** 2
