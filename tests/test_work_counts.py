@@ -1,4 +1,5 @@
-"""Work-count guards: repeated calls reuse what the process already built.
+"""Work-count guards: repeated calls reuse what the process already built, and
+the cube audit gathers each layer once.
 
 Counts, not timings: a wrapper around the recursion memo's row-growth step
 counts the rows it computes, a wrapper around ``ArgumentParser``
