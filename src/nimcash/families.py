@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .periodicity import (
     CSTriple,
     PeriodCertificate,
     SolutionSet,
+    _period_columns,
     _settle,
     _try_period,
     critical_layers,
@@ -127,8 +129,8 @@ class FamilySolution:
         object.__setattr__(self, "_rows", rows[: head + m])
         object.__setattr__(self, "_advance", advance)
         # one sample per residue and move past the head: the check makes the rest equal
-        window = [self.cutoffs(n) for n in range(2 * head + m)]
-        cert = _try_period(moves, window, m, 0) if raised == list(rows[head + m :]) else None
+        columns = _period_columns(t, 2 * head + m)
+        cert = _try_period(moves, columns, m, 0) if raised == list(rows[head + m :]) else None
         if cert is None:
             raise AssertionError(f"cutoffs of {self.kind.label} are not {m}-periodic")
         object.__setattr__(self, "_solution", (cert, self.solution_set))
@@ -218,8 +220,7 @@ def family_win(kind: FamilyKind, n: int, d: Funds, e: Funds) -> Winner:
 # Interval-set conjecture sweep (report-only)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XCounterexample:
+class XCounterexample(NamedTuple):
     n: int
     d: int
     e: int
@@ -292,14 +293,10 @@ def conjecture_check(
 
     moves = new_move_set(range(L, M + 1))
     tables = build_thresholds(moves, n_max)
-    last_bad = -1
-    for n in range(n_max - period + 1):
-        if (
-            tables.rich_i[n + period] != tables.rich_i[n] + M
-            or tables.rich_ii[n + period] != tables.rich_ii[n] + M
-        ):
-            last_bad = n
-    theta: int | None = last_bad + 1
+    cut = np.stack([tables.rich_i, tables.rich_ii])[:, : n_max + 1].astype(np.int64)
+    # the n at which a cutoff at n + period is not the one at n raised by M
+    bad_n = np.flatnonzero((cut[:, period:] != cut[:, :-period] + M).any(axis=0))
+    theta: int | None = int(bad_n[-1]) + 1 if bad_n.size else 0
     if theta > n_max - 3 * period:
         theta = None
 
@@ -317,10 +314,10 @@ def conjecture_check(
     for n, d, e, mover_gap, opp_gap, wins in critical_layers(tables, critical_n_max):
         checked += d.size
         member = interval_cs_member(L, M, n % period, mover_gap, opp_gap)
-        for k in np.flatnonzero(member != wins).tolist():
-            cs = CSTriple(n % period, int(mover_gap[k]), int(opp_gap[k]))
-            winner = Winner.MOVER if wins[k] else Winner.OPPONENT
-            bad.append(XCounterexample(n, int(d[k]), int(e[k]), cs, winner, bool(member[k])))
+        k = np.flatnonzero(member != wins)  # there the conjectured member is `not wins`
+        for dk, ek, g, h, w in np.stack([d, e, mover_gap, opp_gap, wins])[:, k].T.tolist():
+            winner = Winner.MOVER if w else Winner.OPPONENT
+            bad.append(XCounterexample(n, dk, ek, CSTriple(n % period, g, h), winner, not w))
     return ConjectureReport(
         L, M, n_max, critical_n_max, theta, bound, bound_holds, special,
         checked, tuple(bad),

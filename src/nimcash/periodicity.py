@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .oracle import staircase
 from .thresholds import CutoffSource, Regime, ThresholdTables, critical_cells, regime
 
 
-@dataclass(frozen=True)
-class CSTriple:
+class CSTriple(NamedTuple):
     """Corresponding state: residue plus both players' sub-rich gaps.
 
     ``mover_gap = rich_i(n) - 1 - d`` and ``opp_gap = rich_ii(n) - 1 - e``.
@@ -75,7 +74,8 @@ class SolutionSet:
     ``contains(i, b, b2)`` takes a scalar residue and gaps that are ints or
     integer arrays; for arrays it returns a bool array, or a bool that
     broadcasts, over the gaps' broadcast shape.  ``WinEngine.sweep`` passes
-    a whole layer's gaps at once; ``verify_solution_set`` passes ints only.
+    a whole layer's gaps at once; ``verify_solution_set`` passes a residue's
+    gap grid as arrays to a :meth:`from_rows` set, ints to a predicate-only one.
 
     ``period`` (one row per residue) and ``moves`` are recorded by
     :meth:`from_rows`, so a set cannot be checked against another move
@@ -215,43 +215,44 @@ def detect_cash_period(
             f"n_check={n_check} too small to cover every residue up to m_max={m_max}"
         )
 
-    rows = slice(n_check + 1)  # one read of the rows, as cutoffs(n) tuples
-    cutoffs = list(
-        zip(tables.rich_i[rows].tolist(), tables.rich_ii[rows].tolist(), tables.winners[rows].tolist())
-    )
+    columns = _period_columns(tables, n_check + 1)
     for m in range(1, m_max + 1):
-        cert = _try_period(moves, cutoffs, m, n_check)
+        cert = _try_period(moves, columns, m, n_check)
         if cert is not None:
             return cert
     return None
 
 
-def _try_period(
-    moves: MoveSet, cutoffs: Sequence[tuple], m: int, verified_up_to: int
-) -> PeriodCertificate | None:
-    """Period ``m``'s certificate if the winner pattern and costs are
-    residue-constant past the head; ``cutoffs[n]`` is a source's ``cutoffs(n)``."""
-    a_max = moves.a_max
-    end = len(cutoffs)
-    pattern: list[Winner] = []
-    for i in range(m):
-        first = a_max + ((i - a_max) % m)
-        vals = {cutoffs[n][2] for n in range(first, end, m)}
-        if len(vals) != 1:
-            return None
-        pattern.append(Winner.MOVER if vals.pop() else Winner.OPPONENT)
+def _period_columns(tables: ThresholdTables, end: int) -> list[tuple[int, np.ndarray]]:
+    """``(first n, column)`` over ``n < end``: the winners from ``n = max(A)``, then
+    per move ``a`` the :func:`compute_costs` columns ``rich_i[n] - rich_ii[n-a] - a``
+    and ``rich_ii[n] - rich_i[n-a]`` from ``n = max(A) + a``."""
+    a_max = tables.moves.a_max
+    rich_i, rich_ii = (col[:end].astype(np.int64) for col in (tables.rich_i, tables.rich_ii))
+    columns = [(a_max, tables.winners[a_max:end])]
+    for a in tables.moves:
+        now, back = slice(a_max + a, None), slice(a_max, len(rich_i) - a)
+        columns.append((a_max + a, rich_i[now] - rich_ii[back] - a))
+        columns.append((a_max + a, rich_ii[now] - rich_i[back]))
+    return columns
 
-    cost_i: dict[tuple[int, int], int] = {}
-    cost_ii: dict[tuple[int, int], int] = {}
-    for a in moves:
-        lo = a_max + a
-        for i in range(m):
-            first = lo + ((i - lo) % m)
-            seen = {_costs(cutoffs[n], cutoffs[n - a], a) for n in range(first, end, m)}
-            if len(seen) != 1:
-                return None
-            cost_i[(i, a)], cost_ii[(i, a)] = seen.pop()
-    return PeriodCertificate(moves, m, tuple(pattern), cost_i, cost_ii, verified_up_to)
+
+def _try_period(
+    moves: MoveSet, columns: list[tuple[int, np.ndarray]], m: int, verified_up_to: int
+) -> PeriodCertificate | None:
+    """Period ``m``'s certificate if each :func:`_period_columns` column is
+    residue-constant, else None: a class is constant exactly when each value
+    equals the one ``m`` later, ``col[m:] == col[:-m]``, and a column shorter
+    than ``m`` leaves a class empty.  Values are read at each class's first n."""
+    per_residue = []
+    for first, col in columns:
+        if col.size < m or (col[m:] != col[:-m]).any():
+            return None
+        per_residue.append(col[(np.arange(m) - first) % m].tolist())
+    pattern = tuple(Winner.MOVER if w else Winner.OPPONENT for w in per_residue[0])
+    cost_i = {(i, a): c for a, col in zip(moves, per_residue[1::2]) for i, c in enumerate(col)}
+    cost_ii = {(i, a): c for a, col in zip(moves, per_residue[2::2]) for i, c in enumerate(col)}
+    return PeriodCertificate(moves, m, pattern, cost_i, cost_ii, verified_up_to)
 
 
 def verify_solution_set(
@@ -263,11 +264,15 @@ def verify_solution_set(
     non-member with both gaps >= 0, or leaves only the opponent rich, or
     leaves both rich on a residue the opponent wins.  Non-members must be
     refuted by every move: each successor is a member, or leaves only the
-    mover rich, or leaves both rich on a residue the mover wins.  Successor
-    membership uses the candidate's total predicate, so successors may land
-    outside the box.  A set that records its period or move set
-    (:meth:`SolutionSet.from_rows`) must match the certificate's, else
-    :class:`BadParams`.
+    mover rich, or leaves both rich on a residue the mover wins.  A set that
+    records its period or move set (:meth:`SolutionSet.from_rows`) must
+    match the certificate's, else :class:`BadParams`.
+
+    Successors may land outside the box, but a gap grows only by a negative
+    cost, so each successor with both gaps >= 0 lies in ``[0, hi]^2``, ``hi =
+    box + max(0, -min cost)``.  Membership is read into one ``(hi+1)^2`` grid
+    per residue (one array call of a ``from_rows`` set, one int call per cell
+    of a predicate-only set), and each move reads it by shifted index.
     """
     if _integer(box, None, "gap boxes") < 0:
         raise BadParams(f"box must be >= 0, got {box}")
@@ -284,27 +289,35 @@ def verify_solution_set(
         [((i - a) % period, *_step_costs(cert, i, a), a) for a in cert.moves]
         for i in range(period)
     ]
+    lowest = min(min(cost_i, cost_ii) for row in steps for _, cost_i, cost_ii, _ in row)
+    side = np.arange(box + max(0, -lowest) + 1)  # the gaps 0..hi
+    if candidate.period is None:  # grid[i, b, b2]: is (i, b, b2) a member
+        gaps = side.tolist()
+        grid = np.array([[[bool(contains(i, b, b2)) for b2 in gaps] for b in gaps]
+                         for i in range(period)], bool)
+    else:
+        shape = (side.size, side.size)
+        grid = np.array([np.broadcast_to(contains(i, side[:, None], side), shape)
+                         for i in range(period)], bool)
     rich_both_mover = [w is Winner.MOVER for w in cert.winner_pattern]
+    b, b2 = side[: box + 1, None], side[: box + 1]
     report = VerificationReport(box=box, checked=period * (box + 1) ** 2)
     for i in range(period):
-        for b in range(box + 1):
-            for b2 in range(box + 1):
-                member = bool(contains(i, b, b2))
-                # a member must survive min(A); a non-member is refuted by every move
-                for j, cost_i, cost_ii, a in steps[i][:1] if member else steps[i]:
-                    # the successor (j, mg, og); a negative gap means that side is rich
-                    mg, og = b2 - cost_ii, b - cost_i
-                    if mg >= 0 and og >= 0:
-                        succ_wins = bool(contains(j, mg, og))
-                    elif mg < 0 and og < 0:
-                        succ_wins = rich_both_mover[j]
-                    else:
-                        succ_wins = mg < 0
-                    if succ_wins is member:
-                        report.violations.append(Violation(
-                            CSTriple(i, b, b2), "member" if member else "non-member", a,
-                            CSTriple(j, mg, og),
-                        ))
+        member = grid[i, : box + 1, : box + 1]
+        bad = np.empty((box + 1, box + 1, len(steps[i])), dtype=bool)
+        for k, (j, cost_i, cost_ii, _) in enumerate(steps[i]):
+            # the successor (j, mg, og); a negative gap means that side is rich
+            mg, og = b2 - cost_ii, b - cost_i
+            bad[..., k] = member == np.where(  # the successor's mover wins
+                og < 0, (mg < 0) & rich_both_mover[j], (mg < 0) | grid[j, mg.clip(0), og.clip(0)]
+            )
+        # a member must survive min(A); a non-member is refuted by every move
+        bad[..., 1:] &= ~member[..., None]
+        for x, y, k in np.argwhere(bad).tolist():  # in (b, b2, move) order
+            j, cost_i, cost_ii, a = steps[i][k]
+            clause = "member" if member[x, y] else "non-member"
+            succ = CSTriple(j, y - cost_ii, x - cost_i)
+            report.violations.append(Violation(CSTriple(i, x, y), clause, a, succ))
     return report
 
 

@@ -5,11 +5,12 @@ most naive possible implementations, dict-memoized, no shared machinery;
 ``ref_family_cutoffs`` is the solved families' closed forms.
 Budgets here are plain ints (callers clamp or pick small ones).  Only
 ``ref_thresholds`` uses numpy, so that the dtypes of the package's cutoff
-tables can be compared as well as their values.  ``ref_closure`` and
-``ref_induce`` recheck the loops of the closure check and of induction one
-triple or cell at a time; they take the package's one-move step
-(``step_cs``) and critical cells as given, which other tests check
-against the game.
+tables can be compared as well as their values.  ``ref_period`` rereads
+period detection one residue class at a time off ``ref_thresholds``.
+``ref_closure`` and ``ref_induce`` recheck the loops of the closure check
+and of induction one triple or cell at a time; they take the package's
+one-move step (``step_cs``) and critical cells as given, which other tests
+check against the game.
 """
 
 from __future__ import annotations
@@ -40,17 +41,27 @@ def ref_audit(win, values: tuple[int, ...], limit: int) -> list[tuple[int, int, 
     """Cells ``(n, d, e)`` of a winner cube ``win[n][d][e]`` (budgets unclamped
     up to its cap) that disagree with their successors, checked one cell at a
     time: the mover wins iff some ``a <= min(n, d)`` reaches a stored loss
-    ``(n - a; e, d - a)``.  Row-major order, at most ``limit`` of them."""
-    cube = np.asarray(win).tolist()
-    n_max, cap = len(cube) - 1, len(cube[0]) - 1
-    wrong = (
-        (n, d, e)
-        for n in range(n_max + 1)
-        for d in range(cap + 1)
-        for e in range(cap + 1)
-        if cube[n][d][e] != any(not cube[n - a][e][d - a] for a in values if a <= min(n, d))
-    )
-    return list(itertools.islice(wrong, max(limit, 0)))
+    ``(n - a; e, d - a)``.  Row-major order, at most ``limit`` of them.  Each
+    layer becomes nested lists only when the loop reaches it, and only the
+    last ``max(A)`` layers before it are kept, so a small ``limit`` stops early."""
+    win = np.asarray(win)
+    n_max, cap = len(win) - 1, len(win[0]) - 1
+    a_max = max(values)
+
+    def wrong():
+        layers = {}  # n -> win[n] as nested lists, for the layers moves reach back to
+        for n in range(n_max + 1):
+            layers[n] = here = win[n].tolist()
+            layers.pop(n - a_max - 1, None)
+            back = [(a, layers[n - a]) for a in values if a <= n]
+            for d in range(cap + 1):
+                # (d - a, layer n - a) of each move a <= min(n, d)
+                reach = [(d - a, layer) for a, layer in back if a <= d]
+                for e in range(cap + 1):
+                    if here[d][e] != any(not layer[e][x] for x, layer in reach):
+                        yield n, d, e
+
+    return list(itertools.islice(wrong(), max(limit, 0)))
 
 
 def ref_closure(cert, contains, box: int) -> list[tuple]:
@@ -87,6 +98,38 @@ def ref_closure(cert, contains, box: int) -> list[tuple]:
                         if not mover_wins(succ):
                             out.append((triple, "non-member", a, succ))
     return out
+
+
+def ref_period(values: tuple[int, ...], n_check: int, m_max: int):
+    """The least period ``m <= m_max`` of the cutoffs up to ``n_check``, as
+    ``(period, winner pattern, cost_i, cost_ii, n_check)``; None if none.
+
+    Read off ``ref_thresholds`` one residue class at a time: the winners for
+    ``max(A) <= n <= n_check`` and, per move ``a``, the costs
+    ``rich_i[n] - rich_ii[n-a] - a`` and ``rich_ii[n] - rich_i[n-a]`` for
+    ``max(A) + a <= n <= n_check`` must each take one value per class.  The
+    pattern holds the mover's standard wins; the cost dicts are keyed
+    ``(residue, a)``.  An empty class rules its period out.
+    """
+    win, rich_i, rich_ii = (col.tolist() for col in ref_thresholds(values, n_check))
+    a_max = max(values)
+
+    def one_value(value, start, m, i):
+        seen = {value(n) for n in range(start + (i - start) % m, n_check + 1, m)}
+        return seen.pop() if len(seen) == 1 else None
+
+    for m in range(1, m_max + 1):
+        pattern = [one_value(lambda n: win[n], a_max, m, i) for i in range(m)]
+        if None in pattern:
+            continue
+        cost_i, cost_ii = {}, {}
+        for a in values:
+            for i in range(m):
+                cost_i[(i, a)] = one_value(lambda n: rich_i[n] - rich_ii[n - a] - a, a_max + a, m, i)
+                cost_ii[(i, a)] = one_value(lambda n: rich_ii[n] - rich_i[n - a], a_max + a, m, i)
+        if None not in pattern + list(cost_i.values()) + list(cost_ii.values()):
+            return m, tuple(pattern), cost_i, cost_ii, n_check
+    return None
 
 
 def ref_induce(layers, period: int) -> tuple[dict, bool]:

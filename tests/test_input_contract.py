@@ -211,7 +211,7 @@ class TestAuditLimit:
     def test_integer_limits_keep_their_meaning(self):
         table = self._flipped()
         assert len(table.audit_soundness(np.int64(2))) == 2
-        assert table.audit_soundness(0) == []
+        assert table.audit_soundness(0) == table.audit_soundness(-1) == []
 
 
 class TestCertificateMoves:

@@ -28,8 +28,8 @@ from nimcash import (
     step_cs,
     verify_solution_set,
 )
-from nimcash.periodicity import covered_box, critical_layers
-from reference import ref_closure, ref_induce
+from nimcash.periodicity import _period_columns, _try_period, covered_box, critical_layers
+from reference import ref_closure, ref_induce, ref_period
 
 # every solved-family instance with L <= 8
 SMALL_KINDS = [one_l(L) for L in range(2, 9, 2)] + [one_l_l1(L) for L in range(2, 9)]
@@ -86,6 +86,51 @@ class TestDetection:
         assert cert.cost_i == sol.certificate().cost_i
         assert cert.cost_ii == sol.certificate().cost_ii
         assert cert.winner_pattern == sol.certificate().winner_pattern
+
+
+# periodic, aperiodic and interval sets
+PERIOD_CORPUS = [(1, 3, 4), (1, 2, 5), (1, 4), (1, 4, 5), (1, 5, 8, 9), (2, 3), (2, 5),
+                 (3, 5, 6, 10, 11), (2, 3, 4), (3, 4, 5), (3, 4, 5, 6)]
+
+
+def _certificate_fields(cert):
+    """A certificate in ``ref_period``'s form: pattern as mover wins, costs as dicts."""
+    if cert is None:
+        return None
+    pattern = tuple(w is Winner.MOVER for w in cert.winner_pattern)
+    return cert.period, pattern, dict(cert.cost_i), dict(cert.cost_ii), cert.verified_up_to
+
+
+class TestPeriodDifferential:
+    """``detect_cash_period`` against the class-at-a-time ``ref_period``, on
+    whole certificates."""
+
+    M_MAX = 64  # research-verify's settings: m <= 64, n <= 2000
+
+    @pytest.mark.parametrize("n_check", [2000, None], ids=["n_check 2000", "least n_check"])
+    @pytest.mark.parametrize("values", PERIOD_CORPUS, ids=str)
+    def test_whole_certificates(self, values, n_check, tables_cache):
+        n_check = n_check or 2 * max(values) + self.M_MAX  # the least that detection takes
+        t = tables_cache(values, n_check + max(values))
+        got = detect_cash_period(new_move_set(values), t, self.M_MAX, n_check)
+        assert _certificate_fields(got) == ref_period(values, n_check, self.M_MAX)
+
+    def test_corpus_holds_periodic_and_aperiodic_sets(self):
+        found = {v: ref_period(v, 2000, self.M_MAX) for v in PERIOD_CORPUS}
+        assert {v: f[0] for v, f in found.items() if f} == {
+            (1, 3, 4): 7, (1, 2, 5): 3, (1, 4): 5, (1, 4, 5): 8, (1, 5, 8, 9): 16,
+        }
+
+    @pytest.mark.parametrize("values", [(1, 4), (1, 3, 4), (2, 3)], ids=str)
+    def test_too_few_rows_rule_a_period_out(self, values, tables_cache):
+        """Below detection's least ``n_check`` some residue classes are empty."""
+        ms, m_max = new_move_set(values), 8
+        t = tables_cache(values, 40)
+        for n_check in range(2 * ms.a_max + m_max):
+            columns = _period_columns(t, n_check + 1)
+            certs = (_try_period(ms, columns, m, n_check) for m in range(1, m_max + 1))
+            got = next(filter(None, certs), None)
+            assert _certificate_fields(got) == ref_period(values, n_check, m_max), n_check
 
 
 class TestCertificate:
@@ -225,6 +270,20 @@ class TestClosureDifferential:
             assert _violations(report) == want, x.description
             failing += bool(want)
         assert failing == len(mutants)
+
+    def test_one_row_mutant_with_successors_past_the_box(self):
+        """{1,3,4} has negative costs, so a successor's gap can exceed the box."""
+        kind = one_l_l1(3)
+        sol = family_solution(kind)
+        cert = sol.certificate()
+        assert min(cert.cost_i.values()) < 0
+        step, rows = _step_and_rows(sol.solution_set)
+        rows[5] = (rows[5][0] - 1, rows[5][1] + 1)
+        x = SolutionSet.from_rows(step, rows, kind.moves)
+        for box in (2, 5, 8):
+            got = _violations(verify_solution_set(cert, x, box))
+            assert got == ref_closure(cert, x.contains, box)
+            assert any(max(succ.mover_gap, succ.opp_gap) > box for *_, succ in got), box
 
     def test_predicate_only_set(self, tables_cache):
         """The induced {1,3,4} map as a predicate, checked past its covered box."""

@@ -1,20 +1,38 @@
-"""Work-count guards: repeated calls reuse what the process already built, and
-the cube audit gathers each layer once.
+"""Work-count guards: repeated calls reuse what the process already built, the
+cube audit gathers each layer once, and the closure check reads each
+membership grid once.
 
 Counts, not timings: a wrapper around the recursion memo's row-growth step
 counts the rows it computes, a wrapper around ``ArgumentParser``
-construction counts the parsers the CLI builds, and a wrapper around
-``numpy.take`` counts the cells the cube audit gathers.
+construction counts the parsers the CLI builds, a wrapper around
+``numpy.take`` counts the cells the cube audit gathers, and a wrapper around
+a solution set's predicate counts the closure check's membership calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 import numpy as np
 import pytest
 
-from nimcash import CashTable, WinEngine, cli, new_move_set, thresholds
+from nimcash import (
+    CashTable,
+    CSTriple,
+    SolutionSet,
+    WinEngine,
+    Winner,
+    build_thresholds,
+    cli,
+    detect_cash_period,
+    family_solution,
+    induce_candidate,
+    new_move_set,
+    one_l_l1,
+    thresholds,
+    verify_solution_set,
+)
 
 
 def test_each_cutoff_row_is_computed_once(monkeypatch, capsys):
@@ -76,3 +94,42 @@ def test_audit_gathers_each_layer_once(monkeypatch, values, n_max, cap):
     monkeypatch.setattr(np, "take", counted)
     assert table.audit_soundness() == []
     assert sum(gathered) == (n_max + 1) * (cap + 1) ** 2
+
+
+def _counted(solution_set: SolutionSet) -> tuple[SolutionSet, list[int]]:
+    """The same set, with a predicate that counts its calls."""
+    calls: list[int] = []
+
+    def contains(*args):
+        calls.append(1)
+        return solution_set.contains(*args)
+
+    return dataclasses.replace(solution_set, contains=contains), calls
+
+
+def test_closure_check_calls_a_row_set_once_per_residue():
+    """A ``from_rows`` set fills each residue's membership grid in one array call."""
+    sol = family_solution(one_l_l1(3))
+    cert = sol.certificate()
+    rows_set, calls = _counted(sol.solution_set)
+    assert rows_set.period == cert.period == 7
+    assert verify_solution_set(cert, rows_set, 20).passed
+    assert len(calls) == cert.period
+
+
+def test_closure_check_calls_a_predicate_once_per_grid_cell():
+    """A predicate-only set answers at most one int call per cell of the
+    ``[0, hi]^2`` grid, ``hi`` the box widened by the most negative cost."""
+    ms = new_move_set([1, 3, 4])
+    t = build_thresholds(ms, 400)
+    cert = detect_cash_period(ms, t, 16, 300)
+    induced, _ = induce_candidate(ms, t, cert, 120)
+    members = {cs for cs, w in induced.items() if w is Winner.MOVER}
+    predicate, calls = _counted(
+        SolutionSet(lambda i, b, b2: CSTriple(i, b, b2) in members, "induced")
+    )
+    box = 20
+    hi = box + max(0, -min(*cert.cost_i.values(), *cert.cost_ii.values()))
+    assert hi == 22
+    verify_solution_set(cert, predicate, box)
+    assert 0 < len(calls) <= cert.period * (hi + 1) ** 2
