@@ -93,6 +93,10 @@ PERIOD_CORPUS = [(1, 3, 4), (1, 2, 5), (1, 4), (1, 4, 5), (1, 5, 8, 9), (2, 3), 
                  (3, 5, 6, 10, 11), (2, 3, 4), (3, 4, 5), (3, 4, 5, 6)]
 
 
+def _dashed(values) -> str:
+    return "-".join(map(str, values))
+
+
 def _certificate_fields(cert):
     """A certificate in ``ref_period``'s form: pattern as mover wins, costs as dicts."""
     if cert is None:
@@ -107,21 +111,15 @@ class TestPeriodDifferential:
 
     M_MAX = 64  # research-verify's settings: m <= 64, n <= 2000
 
-    @pytest.mark.parametrize("n_check", [2000, None], ids=["n_check 2000", "least n_check"])
-    @pytest.mark.parametrize("values", PERIOD_CORPUS, ids=str)
+    @pytest.mark.parametrize("n_check", [2000, None], ids=["n_check-2000", "least-n_check"])
+    @pytest.mark.parametrize("values", PERIOD_CORPUS, ids=_dashed)
     def test_whole_certificates(self, values, n_check, tables_cache):
         n_check = n_check or 2 * max(values) + self.M_MAX  # the least that detection takes
         t = tables_cache(values, n_check + max(values))
         got = detect_cash_period(new_move_set(values), t, self.M_MAX, n_check)
         assert _certificate_fields(got) == ref_period(values, n_check, self.M_MAX)
 
-    def test_corpus_holds_periodic_and_aperiodic_sets(self):
-        found = {v: ref_period(v, 2000, self.M_MAX) for v in PERIOD_CORPUS}
-        assert {v: f[0] for v, f in found.items() if f} == {
-            (1, 3, 4): 7, (1, 2, 5): 3, (1, 4): 5, (1, 4, 5): 8, (1, 5, 8, 9): 16,
-        }
-
-    @pytest.mark.parametrize("values", [(1, 4), (1, 3, 4), (2, 3)], ids=str)
+    @pytest.mark.parametrize("values", [(1, 4), (1, 3, 4), (2, 3)], ids=_dashed)
     def test_too_few_rows_rule_a_period_out(self, values, tables_cache):
         """Below detection's least ``n_check`` some residue classes are empty."""
         ms, m_max = new_move_set(values), 8
@@ -178,6 +176,16 @@ class TestCorrespondingState:
                 for e in range(g.poor_ii, int(t.rich_ii[n])):
                     cs = corresponding_state(cert, t, n, d, e)
                     assert cs.mover_gap >= 0 and cs.opp_gap >= 0
+
+
+class TestCSTriple:
+    def test_an_immutable_named_tuple(self):
+        t = CSTriple(3, 1, 0)
+        assert repr(t) == "CSTriple(residue=3, mover_gap=1, opp_gap=0)"
+        assert t == CSTriple(3, 1, 0) == (3, 1, 0) and hash(t) == hash((3, 1, 0))
+        assert (t.residue, t.mover_gap, t.opp_gap) == tuple(t)
+        with pytest.raises(AttributeError):
+            t.residue = 4
 
 
 class TestStepCS:
