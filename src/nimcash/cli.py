@@ -52,7 +52,7 @@ from .periodicity import (
     CSTriple,
     SolutionSet,
     covered_box,
-    critical_layers,
+    critical_scan,
     detect_cash_period,
     induce_candidate,
     verify_solution_set,
@@ -262,10 +262,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle_ok = True
     if args.family:
         n_hi = args.oracle_box
-        mismatches = 0  # measured from the family's cutoffs, which family_win decides with
-        for n, _, _, mover_gap, opp_gap, wins in critical_layers(sol, n_hi):
-            member = candidate.contains(n % cert.period, mover_gap, opp_gap)
-            mismatches += int(np.count_nonzero(member != wins))
+        # measured from the family's cutoffs, which family_win decides with
+        n, _, _, mover_gap, opp_gap, wins = critical_scan(sol, n_hi)
+        residue = n % cert.period
+        mismatches = 0
+        for i in range(cert.period):
+            at = residue == i
+            member = candidate.contains(i, mover_gap[at], opp_gap[at])
+            mismatches += int(np.count_nonzero(member != wins[at]))
         print(f"oracle agreement on critical states n <= {n_hi}: {mismatches} mismatches")
         oracle_ok = mismatches == 0
     passed = report.passed and oracle_ok

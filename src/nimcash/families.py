@@ -42,7 +42,7 @@ from .periodicity import (
     _period_columns,
     _settle,
     _try_period,
-    critical_layers,
+    critical_scan,
 )
 from .thresholds import build_thresholds
 
@@ -260,13 +260,12 @@ class ConjectureReport:
         )
 
 
-def interval_cs_member(L: int, M: int, i: int, b: int, b2: int) -> bool:
-    """Conjectured solution-set rule for {L..M} over (residue, gaps)."""
-    if i < L or i >= 3 * L:
-        return b // L <= b2 // L
-    if i < 2 * L:
-        return b // L <= (b2 - L) // L
-    return b // L <= (b2 - 3 * L + i + 1) // L
+def interval_cs_member(L: int, M: int, i, b, b2):
+    """Conjectured solution-set rule for {L..M} over (residue, gaps), ints or
+    arrays: ``b // L <= (b2 - shift) // L``, the shift 0 on residues below ``L``
+    or from ``3L`` on, ``L`` below ``2L``, and ``3L - i - 1`` in between."""
+    shift = np.where((i < L) | (i >= 3 * L), 0, np.where(i < 2 * L, L, 3 * L - i - 1))
+    return b // L <= (b2 - shift) // L
 
 
 def conjecture_check(
@@ -309,18 +308,20 @@ def conjecture_check(
     else:
         special = True
 
-    checked = 0
-    bad: list[XCounterexample] = []
-    for n, d, e, mover_gap, opp_gap, wins in critical_layers(tables, critical_n_max):
-        checked += d.size
-        member = interval_cs_member(L, M, n % period, mover_gap, opp_gap)
-        k = np.flatnonzero(member != wins)  # there the conjectured member is `not wins`
-        for dk, ek, g, h, w in np.stack([d, e, mover_gap, opp_gap, wins])[:, k].T.tolist():
-            winner = Winner.MOVER if w else Winner.OPPONENT
-            bad.append(XCounterexample(n, dk, ek, CSTriple(n % period, g, h), winner, not w))
+    n, d, e, mover_gap, opp_gap, wins = critical_scan(tables, critical_n_max)
+    residue = n % period
+    k = np.flatnonzero(interval_cs_member(L, M, residue, mover_gap, opp_gap) != wins)
+    # where the rule disagrees, the conjectured member is `not wins`
+    bad = tuple(
+        XCounterexample(nk, dk, ek, CSTriple(r, g, h), Winner.MOVER if w else Winner.OPPONENT,
+                        not w)
+        for nk, dk, ek, r, g, h, w in zip(
+            *(col[k].tolist() for col in (n, d, e, residue, mover_gap, opp_gap, wins))
+        )
+    )
     return ConjectureReport(
         L, M, n_max, critical_n_max, theta, bound, bound_holds, special,
-        checked, tuple(bad),
+        n.size, bad,
     )
 
 

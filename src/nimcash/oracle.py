@@ -25,13 +25,19 @@ Two representations of the same winner function:
   C-contiguous "successor lost" array and keeps the last ``max(A)`` of them
   (at most ``max(A)*(cap+1)^2`` bytes), so each move's update of a layer is
   one contiguous shifted-slice OR.  :meth:`CashTable.audit_soundness`
-  rechecks the cube's fixpoint at every cell with a second derivation: it
-  gathers each successor by its flat index, one ``np.take`` per block of at
-  least ``max(A)`` layers, so each layer is gathered once; a move reads the
-  gather of this block and of the one before.  Its temporaries are at most
-  three blocks of ``max(max(A), 2**18/(cap+1)^2)`` layers.  It locates
-  offending cells only in a block that has one, and never reuses the
-  build's transposed layers.
+  rechecks the cube's fixpoint at every cell with a second derivation that
+  gathers each successor by its flat index and each layer once, and never
+  reuses the build's transposed layers.  It splits the cube at ``cap``.  A
+  head layer ``n < cap`` repeats its clamped cells: a budget above ``n``
+  acts as ``n``.  When that holds for the layer and the layers its moves
+  reach, the fixpoint on the square ``[0, n]^2`` implies it on the whole
+  layer (the lemma in the method's docstring), so the audit compares the
+  clamp copies, derives only the square, and re-derives a layer in full
+  only where the proof fails.  A body layer ``n >= cap`` is derived in
+  full, one ``np.take`` per block of at least ``max(A)`` layers; a move
+  reads the gather of this block and of the one before.  Its temporaries
+  are at most three blocks of ``max(max(A), 2**18/(cap+1)^2)`` layers, and
+  it locates offending cells only in a block that has one.
 
 Why the staircase form holds: by induction on ``n``.  Layers below ``min(A)``
 are all losses.  If the layers below are staircases, the wins via one move
@@ -150,46 +156,98 @@ class CashTable:
         a loss.  The check re-derives the cube by gathering each successor
         by index: with a layer flattened row-major, the successor of
         ``(n; d, e)`` under move ``a`` is cell ``e*(cap+1) + (d-a)`` of layer
-        ``n - a``.  One ``np.take`` per block of layers gathers every layer
-        of the block once, over the full ``d - a``, ``e`` index, and is
-        negated in place into the block's "successor lost" rows; every move
-        reads that one gather (move ``a`` reads its first ``cap+1-a`` rows,
-        the legal ``d >= a``).  A block holds ``max(max(A), 2**18 /
-        (cap+1)**2)`` layers, at least ``max(A)``, so a move reaches back at
-        most into the block before, whose gather is kept: each move is at
-        most two contiguous ORs, one from the previous block's gather and one
-        from this block's.  The temporaries are three blocks: the previous
-        gather, this gather and the expected block.  Each block is compared
-        with the cube once; offending cells are located (a 2-D ``nonzero``)
-        only in a block where the comparison found one, so a clean cube pays
-        for no locate.  The audit never calls ``_build_cube``, nor reads or
-        makes a transposed layer, so it stays independent of the
-        shifted-slice construction it checks.  Offending states come in
-        ``(n, d, e)`` row-major order, at most ``limit`` of them; ``limit``
-        is an integer, and one below 1 returns no state.
+        ``n - a``.  Each layer is gathered once and negated in place into
+        "successor lost" rows ``x = d - a`` by columns ``e``.
+
+        Head layers ``n < cap`` rest on a lemma.  Let K(n) say ``win[n, d, e]
+        == win[n, min(d, n), min(e, n)]`` for all ``d, e <= cap``.  If K(n)
+        holds, K(n - a) holds for every move ``a <= n``, and the fixpoint
+        holds on the square ``d, e <= n``, then it holds on all of layer
+        ``n``.  Proof: a move ``a <= n`` is legal at ``d`` exactly when it is
+        legal at ``min(d, n)``; by K(n - a) the successor ``(n - a; e, d -
+        a)`` reads ``(n - a; min(e, n - a), min(d, n) - a)``, which is what
+        the clamped cell's successor reads; by K(n) the cell equals its
+        clamped cell.  So a head layer checks K(n) by contiguous compares
+        (rows ``d > n`` equal row ``n``; on rows ``d <= n``, each column ``e >
+        n`` equals the one before) and derives only its square, from
+        gathers of rows ``x <= n`` over the columns ``e < n + 1 + max(A)``
+        that later layers read.  A layer proved so has nothing to locate.
+        Any other head layer is re-derived in full from whole gathers of the
+        layers ``n - a``, and only that derivation reports cells.
+
+        Body layers ``n >= cap``, all of a thin cube, clamp nothing.  One
+        ``np.take`` per block of ``max(max(A), 2**18 / (cap+1)**2)`` layers
+        gathers the block, and every move reads that one gather (move ``a``
+        reads its first ``cap+1-a`` rows, the legal ``d >= a``).  A move
+        reaches back at most into the block before, whose gather is kept, so
+        each move is at most two contiguous ORs; the first block reads the
+        last ``max(A)`` head layers, which are gathered in full for it.  The
+        temporaries are three blocks: the previous gather, this gather and
+        the expected block.  Each block is compared with the cube once;
+        offending cells are located (a 2-D ``nonzero``) only in a block where
+        the comparison found one.
+
+        The audit never calls ``_build_cube``, nor reads or makes a
+        transposed layer, so it stays independent of the shifted-slice
+        construction it checks.  Offending states come in ``(n, d, e)``
+        row-major order, at most ``limit`` of them; ``limit`` is an integer,
+        and one below 1 returns no state.
         """
         bad: list[tuple[int, int, int]] = []
         limit = _integer(limit, None, "audit limits")
         if limit <= 0:
             return bad
-        side = self.cap + 1
+        moves, a_max, side = self.moves, self.moves.a_max, self.cap + 1
         flat = self.win.reshape(self.n_max + 1, side * side)
         # row d - a, column e: the successor's cell e*side + (d - a)
-        succ_index = (np.arange(side) * side + np.arange(side)[:, None]).ravel()
-        rows = max(self.moves.a_max, (1 << 18) // (side * side), 1)
-        prev = None  # the previous block's "successor lost" rows, all ``rows`` of them
-        for lo in range(0, self.n_max + 1, rows):
+        succ_index = np.arange(side) * side + np.arange(side)[:, None]
+        head = min(self.cap, self.n_max + 1)  # layers n < cap, whose budgets clamp
+        # the body's first block reads the last max(A) head layers, gathered in full
+        prev = np.zeros((a_max, side * side), dtype=bool) if 0 < head <= self.n_max else None
+        clamped: list[bool] = []  # K(n) of each head layer
+        lost: dict[int, np.ndarray] = {}  # "successor lost" rows of the last max(A) layers
+        for n in range(head):
+            layer = self.win[n]
+            clamped.append(
+                bool((layer[n + 1 :] == layer[n]).all())
+                and bool((layer[: n + 1, n + 1 :] == layer[: n + 1, n:-1]).all())
+            )
+            expect = np.zeros((n + 1, n + 1), dtype=bool)  # the fixpoint on [0, n]^2
+            for a in moves:
+                if a > n:
+                    break
+                expect[a:] |= lost[n - a][: n + 1 - a, : n + 1]
+            proved = (
+                clamped[n]
+                and all(clamped[n - a] for a in moves if a <= n)
+                and np.array_equal(expect, layer[: n + 1, : n + 1])
+            )
+            if not proved:
+                for d, e in np.argwhere(self._wrong_layer(n, flat, succ_index)).tolist():
+                    bad.append((n, d, e))
+                    if len(bad) == limit:
+                        return bad
+            if prev is not None and n >= head - a_max:
+                g = prev[n - head + a_max].reshape(side, side)
+                np.take(flat[n], succ_index, out=g)
+            else:  # the rows x <= n that the layers up to n + max(A) read
+                g = np.take(flat[n], succ_index[: n + 1, : n + 1 + a_max])
+            lost[n] = np.logical_not(g, out=g)
+            lost.pop(n - a_max, None)
+        succ_index = succ_index.ravel()
+        rows = max(a_max, (1 << 18) // (side * side), 1)
+        for lo in range(head, self.n_max + 1, rows):
             hi = min(lo + rows, self.n_max + 1)
             cur = np.take(flat[lo:hi], succ_index, axis=1)
             np.logical_not(cur, out=cur)
             expect = np.zeros((hi - lo, side * side), dtype=bool)
-            for a in self.moves:
+            for a in moves:
                 if a >= side or a >= hi:
                     continue  # no legal d in the cube, or no layer of the block
                 cells = (side - a) * side
                 if prev is not None:  # layers lo..lo+a-1 reach back into prev
-                    head = min(a, hi - lo)
-                    expect[:head, a * side :] |= prev[rows - a : rows - a + head, :cells]
+                    k, back = min(a, hi - lo), len(prev) - a
+                    expect[:k, a * side :] |= prev[back : back + k, :cells]
                 if a < hi - lo:  # layers lo+a..hi-1 reach into this block
                     expect[a:, a * side :] |= cur[: hi - lo - a, :cells]
             prev = cur
@@ -201,6 +259,17 @@ class CashTable:
                 if len(bad) == limit:
                     return bad
         return bad
+
+    def _wrong_layer(self, n: int, flat: np.ndarray, succ_index: np.ndarray) -> np.ndarray:
+        """The cells of head layer ``n`` that break the fixpoint, by the full
+        derivation: each move ORs in the whole gather of layer ``n - a``."""
+        side = self.cap + 1
+        expect = np.zeros((side, side), dtype=bool)
+        for a in self.moves:
+            if a > n:
+                break
+            expect[a:] |= ~np.take(flat[n - a], succ_index[: side - a])
+        return expect != self.win[n]
 
 
 def _build_cube(moves: MoveSet, n_max: int, cap: int) -> np.ndarray:

@@ -12,20 +12,27 @@ clauses below; membership then decides every critical position.  Closure is
 only ever checked on a bounded box, so certificates report the range they
 were verified on and never claim more.  Each solved family's set is one
 staircase per residue, stored as integer rows (:meth:`SolutionSet.from_rows`).
+
+Exact winners on critical positions come from :func:`critical_scan`: one
+array pass over a whole range of ``n`` that lists every critical cell, its
+gaps and the mover's exact win.  :func:`induce_candidate`,
+``families.conjecture_check`` and ``nimcash verify --family`` each read one
+scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BadParams, OutOfRange
 from .game import UNLIMITED, Funds, MoveSet, Winner, _check_funds, _check_stones, _integer
 from .oracle import staircase
-from .thresholds import CutoffSource, Regime, ThresholdTables, critical_cells, regime
+from .thresholds import CutoffSource, Regime, ThresholdTables, _poor_cutoffs, regime
 
 
 class CSTriple(NamedTuple):
@@ -329,8 +336,8 @@ def induce_candidate(
 ) -> tuple[dict[CSTriple, Winner], bool]:
     """Map every critical position's corresponding state to its exact winner.
 
-    Sweeps all critical ``(n, d, e)`` with ``n <= n_max`` through
-    :func:`critical_layers`.  The map is extensional only; :func:`covered_box`
+    Reads all critical ``(n, d, e)`` with ``n <= n_max`` from one
+    :func:`critical_scan`.  The map is extensional only; :func:`covered_box`
     bounds where it can be read.  ``consistent`` is False when two positions sharing a
     corresponding state disagree, which refutes the period for solution-set
     purposes.  Each state keeps the winner of its first cell, and states come
@@ -340,12 +347,10 @@ def induce_candidate(
     if not moves == tables.moves == cert.moves:
         raise BadParams(f"moves {moves}, tables {tables.moves} and certificate {cert.moves} differ")
     tables.check_range(n_max)
-    found = list(critical_layers(tables, n_max))
-    sizes = [len(layer[5]) for layer in found]
-    x, y, wins = (np.concatenate([layer[k] for layer in found]) for k in (3, 4, 5))
+    n, _, _, x, y, wins = critical_scan(tables, n_max)
     if not wins.size:
         return {}, True
-    residue = np.repeat(np.arange(n_max + 1) % cert.period, sizes)
+    residue = n % cert.period
     # one int64 key per corresponding state; gaps lie in [0, n_max), so keys
     # stay below period * n_max**2
     x_width, y_width = int(x.max()) + 1, int(y.max()) + 1
@@ -362,28 +367,69 @@ def induce_candidate(
 
 def covered_box(cert: PeriodCertificate, states: Mapping[CSTriple, Winner]) -> int:
     """Largest ``k`` such that ``states`` holds each triple of the gap box
-    ``[0, k]^2`` on every residue, and each successor of one with both gaps >= 0; else -1."""
+    ``[0, k]^2`` on every residue, and each successor of one with both gaps >= 0; else -1.
 
-    def met(t: CSTriple) -> bool:
-        succs = (step_cs(cert, t, a) for a in cert.moves)
-        return t in states and all(s in states for s in succs if min(s.mover_gap, s.opp_gap) >= 0)
+    A triple is met when it is present and so is each of its successors with
+    both gaps >= 0; the answer is the least shell ``max(b, b2)`` holding an
+    unmet triple, minus 1.  A met box ``[0, k]^2`` holds ``period * (k+1)^2``
+    keys, so shell ``r = isqrt(#keys / period)`` holds an unmet triple: one
+    presence box per residue over the gaps up to ``r`` plus the largest gap a
+    move adds decides every shell up to ``r``, and its size follows the
+    map's, not its largest key.
+    """
+    period = cert.period
+    keys = np.array(list(states), dtype=np.int64).reshape(-1, 3)
+    keys = keys[(keys[:, 0] >= 0) & (keys[:, 0] < period) & (keys[:, 1:] >= 0).all(axis=1)]
+    grow = max(0, -min(*cert.cost_i.values(), *cert.cost_ii.values()))
+    size = math.isqrt(len(keys) // period) + grow + 1
+    keys = keys[(keys[:, 1:] < size).all(axis=1)]
+    present = np.zeros((period, size, size), dtype=bool)
+    present[tuple(keys.T)] = True
+    b, b2 = np.arange(size)[:, None], np.arange(size)
+    met = present.copy()
+    for i in range(period):
+        for a in cert.moves:
+            cost_i, cost_ii = _step_costs(cert, i, a)
+            mg, og = b2 - cost_ii, b - cost_i  # the successor's gaps
+            found = present[(i - a) % period, mg.clip(0, size - 1), og.clip(0, size - 1)]
+            met[i] &= (mg < 0) | (og < 0) | (found & (mg < size) & (og < size))
+    _, rows, cols = np.nonzero(~met)
+    return int(np.maximum(rows, cols).min()) - 1
 
-    k = 0  # grow the box one shell {max(b, b2) == k} at a time
-    while all(met(CSTriple(i, b, b2)) for i in range(cert.period)
-              for j in range(k + 1) for b, b2 in ((k, j), (j, k))):
-        k += 1
-    return k - 1
 
+def critical_scan(source: CutoffSource, n_max: int) -> tuple[np.ndarray, ...]:
+    """Every critical position with ``n <= n_max``, in one pass over the range.
 
-def critical_layers(source: CutoffSource, n_max: int) -> Iterator[tuple]:
-    """Yield ``(n, d, e, mover_gap, opp_gap, wins)`` for each ``n <= n_max``: the
-    :func:`~nimcash.thresholds.critical_cells` arrays measured from ``source``
-    and the mover's exact wins on them, read off the staircase in one compare."""
-    layers = staircase(source.moves, n_max)
-    for n in range(n_max + 1):
-        d, e, mover_gap, opp_gap = critical_cells(source, n)
-        # critical budgets are below the rich cutoffs, hence below n: unclamped
-        yield n, d, e, mover_gap, opp_gap, e < layers[n][d]
+    Returns six flat arrays ``(n, d, e, mover_gap, opp_gap, wins)`` in
+    row-major ``(n, d, e)`` order.  Layer ``n`` holds the rectangle ``[poor_i,
+    rich_i) x [poor_ii, rich_ii)``, empty when a poor cutoff reaches its rich
+    one; the gaps are ``rich_i - 1 - d`` and ``rich_ii - 1 - e``.  The rich
+    cutoffs come as columns, a slice of recursion tables or one
+    ``cutoffs(n)`` read per ``n`` of another source (a solved family); the
+    poor cutoffs from their closed form over ``n``; each rectangle from
+    ``repeat`` and ``cumsum``.  ``wins``, the mover's exact wins, is one
+    gather from the staircase layers laid end to end, layer ``n`` at offset
+    ``n(n+1)/2``: the rich cutoffs never exceed ``n``, so no critical budget
+    is clamped.
+    """
+    ns = np.arange(n_max + 1)
+    if isinstance(source, ThresholdTables):
+        source.check_range(n_max)
+        rich_i, rich_ii = (col[: n_max + 1].astype(np.int64)
+                           for col in (source.rich_i, source.rich_ii))
+    else:
+        rich_i, rich_ii = np.array(
+            [source.cutoffs(n)[:2] for n in range(n_max + 1)], dtype=np.int64
+        ).reshape(-1, 2).T
+    poor_i, poor_ii = _poor_cutoffs(source.moves.a_min, ns)
+    width = np.maximum(rich_ii - poor_ii, 0)
+    sizes = np.maximum(rich_i - poor_i, 0) * width
+    n = np.repeat(ns, sizes)
+    k = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # index in the layer
+    d = poor_i[n] + k // width[n]
+    e = poor_ii[n] + k % width[n]
+    rows = np.concatenate(staircase(source.moves, n_max)[: n_max + 1])
+    return n, d, e, rich_i[n] - 1 - d, rich_ii[n] - 1 - e, e < rows[n * (n + 1) // 2 + d]
 
 
 def _settle(

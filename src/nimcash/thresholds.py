@@ -13,8 +13,9 @@ For each stone count ``n`` there are two pairs of cutoffs:
 
 Positions where neither rule applies (each player between their cutoffs) are
 *critical*: the rectangle ``[poor_i, rich_i) x [poor_ii, rich_ii)`` of each
-layer, listed by :func:`critical_cells` and handled by the periodicity
-machinery.
+layer, empty when a poor cutoff reaches its rich one, listed for a whole
+range of ``n`` by :func:`~nimcash.periodicity.critical_scan` and handled by
+the periodicity machinery.
 
 :func:`regime` is the one place that compares budgets with the cutoffs, and
 the one decider of this module: callers read its region and mover-wins
@@ -226,10 +227,17 @@ def poor_thresholds(moves: MoveSet, n: int) -> PoorCutoffs:
     n = _check_stones(n)
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
-    a1 = moves.a_min
+    return PoorCutoffs(*_poor_cutoffs(moves.a_min, n))
+
+
+def _poor_cutoffs(a1: int, n):
+    """``(poor_i, poor_ii)`` for ``n`` stones and least move ``a1``: with ``i = n
+    mod 2*a1`` and ``h = (n - i)/2``, ``(h + min(i + 1, a1), h + max(0, i - a1 +
+    1))``.  Spelled without ``min`` and ``max``, so ``n`` is an int or an int array."""
     i = n % (2 * a1)
     half = (n - i) // 2
-    return PoorCutoffs(half + min(i + 1, a1), half + max(0, i - a1 + 1))
+    over = (i >= a1) * (i + 1 - a1)  # max(0, i - a1 + 1)
+    return half + i + 1 - over, half + over
 
 
 def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regime:
@@ -258,20 +266,3 @@ def regime(moves: MoveSet, n: int, cutoffs: tuple[int, int, bool], d, e) -> Regi
     )
     code = 4 * rich_d + 8 * rich_e + poor_d + 2 * poor_e
     return Regime(code, mover_wins)
-
-
-def critical_cells(source: CutoffSource, n: int) -> tuple[np.ndarray, ...]:
-    """Budgets ``d``, ``e`` and gaps of the critical positions with ``n`` stones.
-
-    Four int arrays in row-major ``(d, e)`` order; the gaps are
-    ``rich_i - 1 - d`` and ``rich_ii - 1 - e``.  The critical cells are the
-    rectangle ``[poor_i, rich_i) x [poor_ii, rich_ii)``, empty when a poor
-    cutoff reaches its rich one; the rich cutoffs never exceed ``n``, so no
-    budget in it is clamped.
-    """
-    fi, fii, _ = source.cutoffs(n)
-    poor_i, poor_ii = poor_thresholds(source.moves, n)
-    d, e = np.indices((max(fi - poor_i, 0), max(fii - poor_ii, 0))).reshape(2, -1)
-    d += poor_i
-    e += poor_ii
-    return d, e, fi - 1 - d, fii - 1 - e

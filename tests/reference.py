@@ -3,14 +3,17 @@
 These are the trusted oracles the production code is checked against: the
 most naive possible implementations, dict-memoized, no shared machinery;
 ``ref_family_cutoffs`` is the solved families' closed forms.
-Budgets here are plain ints (callers clamp or pick small ones).  Only
-``ref_thresholds`` uses numpy, so that the dtypes of the package's cutoff
-tables can be compared as well as their values.  ``ref_period`` rereads
+Budgets here are plain ints (callers clamp or pick small ones).
+``ref_thresholds`` returns numpy arrays, so that the dtypes of the package's
+cutoff tables can be compared as well as their values; ``ref_critical_cells``
+returns arrays as the package's scan does.  ``ref_period`` rereads
 period detection one residue class at a time off ``ref_thresholds``.
-``ref_closure`` and ``ref_induce`` recheck the loops of the closure check
-and of induction one triple or cell at a time; they take the package's
-one-move step (``step_cs``) and critical cells as given, which other tests
-check against the game.
+``ref_closure``, ``ref_induce`` and ``ref_covered_box`` recheck the closure
+check, induction and the covered box one triple or cell at a time; they take
+the package's one-move step (``step_cs``) as given, which other tests check
+against the game.  ``ref_critical_cells`` lists one layer's critical cells by
+the poor-to-rich rectangle, and ``ref_critical_layers`` adds the mover's wins
+read off a dense winner cube.
 """
 
 from __future__ import annotations
@@ -132,12 +135,60 @@ def ref_period(values: tuple[int, ...], n_check: int, m_max: int):
     return None
 
 
+def ref_critical_cells(source, n: int) -> tuple[np.ndarray, ...]:
+    """Budgets ``d``, ``e`` and gaps ``rich_i - 1 - d``, ``rich_ii - 1 - e`` of
+    the critical positions with ``n`` stones, in row-major ``(d, e)`` order.
+
+    They are the rectangle ``[poor_i, rich_i) x [poor_ii, rich_ii)``, empty
+    when a poor cutoff reaches its rich one; the rich cutoffs are
+    ``source.cutoffs(n)`` and the poor ones the closed form in ``min(A)``.
+    """
+    fi, fii, _ = source.cutoffs(n)
+    a1 = min(source.moves.values)
+    i = n % (2 * a1)
+    half = (n - i) // 2
+    poor_i, poor_ii = half + min(i + 1, a1), half + max(0, i - a1 + 1)
+    d, e = np.indices((max(fi - poor_i, 0), max(fii - poor_ii, 0))).reshape(2, -1)
+    d += poor_i
+    e += poor_ii
+    return d, e, fi - 1 - d, fii - 1 - e
+
+
+def ref_critical_layers(source, n_max: int, win):
+    """``(n, d, e, mover_gap, opp_gap, wins)`` for each ``n <= n_max``: the
+    ``ref_critical_cells`` of layer ``n`` and the mover's wins on them, read
+    off a dense winner cube ``win[n][d][e]`` whose cap reaches ``n_max``."""
+    win = np.asarray(win)
+    for n in range(n_max + 1):
+        d, e, mover_gap, opp_gap = ref_critical_cells(source, n)
+        yield n, d, e, mover_gap, opp_gap, win[n, d, e]
+
+
+def ref_covered_box(cert, states) -> int:
+    """Largest ``k`` such that ``states`` holds each triple of ``[0, k]^2`` on
+    every residue and each successor of one with both gaps >= 0, else -1:
+    the box grown one shell ``max(b, b2) == k`` at a time."""
+    from nimcash import CSTriple, step_cs
+
+    def met(t) -> bool:
+        succs = (step_cs(cert, t, a) for a in cert.moves.values)
+        return t in states and all(
+            s in states for s in succs if min(s.mover_gap, s.opp_gap) >= 0
+        )
+
+    k = 0
+    while all(met(CSTriple(i, b, b2)) for i in range(cert.period)
+              for j in range(k + 1) for b, b2 in ((k, j), (j, k))):
+        k += 1
+    return k - 1
+
+
 def ref_induce(layers, period: int) -> tuple[dict, bool]:
     """Each critical cell's corresponding state ``(n % period, mover_gap,
     opp_gap)`` mapped to the mover's win, one cell at a time.
 
     ``layers`` yields ``(n, d, e, mover_gap, opp_gap, wins)`` per layer, as
-    ``periodicity.critical_layers`` does.  A state keeps the winner of its
+    ``ref_critical_layers`` does.  A state keeps the winner of its
     first cell, states in the order first seen; ``consistent`` is False once
     a later cell of a state disagrees.
     """

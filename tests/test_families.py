@@ -29,8 +29,8 @@ from nimcash import (
     verify_solution_set,
 )
 from nimcash import families
-from nimcash.families import REFERENCE_MOVES
-from nimcash.periodicity import critical_layers
+from nimcash.families import REFERENCE_MOVES, interval_cs_member
+from nimcash.periodicity import critical_scan
 from reference import ref_family_cutoffs
 
 KINDS = [one_l(2), one_l(4), one_l(6), one_l_l1(3), one_l_l1(5), one_l_l1(7),
@@ -195,13 +195,12 @@ class TestEveryInstanceUpTo40:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
     def test_rows_decide_every_critical_cell(self, kind):
         sol = family_solution(kind)
-        residues = set()
-        for n, _, _, mover_gap, opp_gap, wins in critical_layers(sol, self._n_hi(kind)):
-            member = sol.solution_set.contains(n % kind.modulus, mover_gap, opp_gap)
-            assert np.array_equal(member, wins), (kind.label, kind.L, n)
-            if wins.size:
-                residues.add(n % kind.modulus)
-        assert len(residues) == kind.modulus
+        ns, _, _, mover_gap, opp_gap, wins = critical_scan(sol, self._n_hi(kind))
+        for n in range(self._n_hi(kind) + 1):
+            at = ns == n
+            member = sol.solution_set.contains(n % kind.modulus, mover_gap[at], opp_gap[at])
+            assert np.array_equal(member, wins[at]), (kind.label, kind.L, n)
+        assert len(set((ns % kind.modulus).tolist())) == kind.modulus
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=_kind_id)
     def test_certificate_matches_detection_on_three_periods(self, kind, tables_cache):
@@ -362,6 +361,24 @@ class TestConjectureCheck:
     def test_degenerate_single_move_set(self):
         report = conjecture_check(1, 1, n_max=100, critical_n_max=30)
         assert report.theta is not None
+
+    @pytest.mark.parametrize("L, M", [(1, 1), (2, 4), (3, 5), (3, 6)])
+    def test_member_rule_on_arrays_matches_the_three_cases(self, L, M):
+        """``interval_cs_member`` over arrays of residues, cell by cell against
+        its three cases written out on ints."""
+
+        def member(i, b, b2):
+            if i < L or i >= 3 * L:
+                return b // L <= b2 // L
+            if i < 2 * L:
+                return b // L <= (b2 - L) // L
+            return b // L <= (b2 - 3 * L + i + 1) // L
+
+        i, b, b2 = np.indices((L + M, 12, 12)).reshape(3, -1)
+        cells = list(zip(i.tolist(), b.tolist(), b2.tolist()))
+        want = [member(*cell) for cell in cells]
+        assert interval_cs_member(L, M, i, b, b2).tolist() == want
+        assert [bool(interval_cs_member(L, M, *cell)) for cell in cells[::7]] == want[::7]
 
     @pytest.mark.parametrize("L, M", [(2, 3), (2, 4), (3, 5)])
     def test_interval_cutoffs_are_semantically_sound(self, L, M, cube_cache, tables_cache):

@@ -299,6 +299,58 @@ class TestAuditDifferential:
             assert table.audit_soundness(limit) == want[:limit], limit
 
 
+class TestAuditClampPath:
+    """Below ``cap`` the audit proves most of a layer from its clamp copies
+    (``win[n, d, e] == win[n, min(d, n), min(e, n)]``) and re-derives only the
+    square ``[0, n]^2``; flips in and around the copies, against ``ref_audit``
+    on exact lists."""
+
+    @pytest.mark.parametrize(
+        "values, n_max, cap, flips",
+        [
+            ((1, 3, 4), 30, 30, [(10, 20, 5)]),
+            ((1, 3, 4), 30, 30, [(10, 5, 20)]),
+            ((1, 3, 4), 30, 30, [(10, 20, 25)]),
+            # clamp copies on the last layer and on the one below it
+            ((2, 3), 2, 14, [(1, 1, 14), (2, 14, 1)]),
+            ((1, 3, 4), 20, 30, [(5, 17, 2)]),
+            ((2, 3), 9, 14, [(1, 14, 1)]),
+            # the last head layer and the first body layer
+            ((1, 3, 4), 30, 12, [(11, 12, 3), (11, 4, 12), (12, 12, 12), (12, 0, 5)]),
+            ((1, 3, 4), 8, 20, [(8, 20, 20), (8, 3, 15)]),
+            ((3, 5, 6, 10, 11), 30, 7, [(5, 7, 2), (7, 3, 3), (20, 7, 7)]),
+            ((1, 2), 10, 0, [(3, 0, 0)]),
+            ((1, 2), 10, 1, [(0, 1, 0), (1, 1, 1), (5, 0, 1)]),
+        ],
+        ids=["rows d > n", "columns e > n", "both", "2-3 last layer", "successor's copy",
+             "2-3 successor's copy",
+             "layers cap-1 and cap", "cap above n_max", "cap below max(A)", "cap 0", "cap 1"],
+    )
+    def test_matches_reference(self, values, n_max, cap, flips):
+        table = CashTable(new_move_set(values), n_max, cap)
+        assert table.audit_soundness() == []
+        table.win.flags.writeable = True  # deliberately break the contract
+        for cell in flips:
+            table.win[cell] = not table.win[cell]
+        every = (n_max + 1) * (cap + 1) ** 2
+        want = ref_audit(table.win, values, every)
+        assert want
+        for limit in (1, 4, every):
+            assert table.audit_soundness(limit) == want[:limit], limit
+
+    def test_a_clamp_copy_fails_the_next_layers_outside_their_square(self):
+        """Layer 5's flipped copy ``(5, 17, 2)`` is read as ``(5; e, d - a)`` by
+        the layers above: every report but the flip itself lies past ``n``."""
+        values = (1, 3, 4)
+        table = CashTable(new_move_set(values), 20, 30)
+        table.win.flags.writeable = True
+        table.win[5, 17, 2] = not table.win[5, 17, 2]
+        got = table.audit_soundness(100)
+        assert got == ref_audit(table.win, values, 100)
+        assert got[0] == (5, 17, 2) and len(got) > 1
+        assert all(max(d, e) > n for n, d, e in got[1:])
+
+
 class TestRandomSets:
     def test_cube_vs_reference_on_random_move_sets(self):
         rng = random.Random(20250811)

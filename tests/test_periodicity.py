@@ -28,8 +28,15 @@ from nimcash import (
     step_cs,
     verify_solution_set,
 )
-from nimcash.periodicity import _period_columns, _try_period, covered_box, critical_layers
-from reference import ref_closure, ref_induce, ref_period
+from nimcash.periodicity import _period_columns, _try_period, covered_box, critical_scan
+from reference import (
+    ref_closure,
+    ref_covered_box,
+    ref_critical_cells,
+    ref_critical_layers,
+    ref_induce,
+    ref_period,
+)
 
 # every solved-family instance with L <= 8
 SMALL_KINDS = [one_l(L) for L in range(2, 9, 2)] + [one_l_l1(L) for L in range(2, 9)]
@@ -309,14 +316,16 @@ class TestClosureDifferential:
 
 class TestInduceDifferential:
     """``induce_candidate`` against the cell-at-a-time ``ref_induce``, on exact
-    items and their order."""
+    items and their order; the reference reads the reference critical cells
+    and the dense cube."""
 
     @staticmethod
-    def _check(values, cert, n_max, tables_cache):
+    def _check(values, cert, n_max, tables_cache, cube_cache):
         ms = new_move_set(values)
         t = tables_cache(values, max(n_max, 1))
         got, consistent = induce_candidate(ms, t, cert, n_max)
-        want, want_consistent = ref_induce(critical_layers(t, n_max), cert.period)
+        cube = cube_cache(values, n_max).win
+        want, want_consistent = ref_induce(ref_critical_layers(t, n_max, cube), cert.period)
         assert all(type(cs) is CSTriple for cs in got)
         assert [((cs.residue, cs.mover_gap, cs.opp_gap), w is Winner.MOVER)
                 for cs, w in got.items()] == list(want.items())
@@ -326,24 +335,25 @@ class TestInduceDifferential:
     @pytest.mark.parametrize("values, n_max", [
         ((1, 3, 4), 0), ((1, 3, 4), 30), ((1, 3, 4), 120), ((1, 2, 5), 90), ((1, 4, 5), 70),
     ])
-    def test_detected_certificates(self, values, n_max, tables_cache):
+    def test_detected_certificates(self, values, n_max, tables_cache, cube_cache):
         cert = detect_cash_period(new_move_set(values), tables_cache(values, 400), 16, 300)
-        got, consistent = self._check(values, cert, n_max, tables_cache)
+        got, consistent = self._check(values, cert, n_max, tables_cache, cube_cache)
         assert consistent and bool(got) == (n_max > 0)
 
     @pytest.mark.parametrize("kind", SMALL_KINDS, ids=lambda kind: str(kind.moves))
-    def test_family_certificates(self, kind, tables_cache):
+    def test_family_certificates(self, kind, tables_cache, cube_cache):
         n_max = 3 * kind.modulus + 2 * kind.moves.a_max
         got, consistent = self._check(
-            kind.moves.values, family_solution(kind).certificate(), n_max, tables_cache
+            kind.moves.values, family_solution(kind).certificate(), n_max, tables_cache,
+            cube_cache,
         )
         assert consistent and got
 
     @pytest.mark.parametrize("values", [(1, 3, 4), (2, 3), (3, 5, 6, 10, 11)])
-    def test_period_one_certificate_is_inconsistent(self, values, tables_cache):
+    def test_period_one_certificate_is_inconsistent(self, values, tables_cache, cube_cache):
         ms = new_move_set(values)
         cert = PeriodCertificate(ms, 1, (Winner.MOVER,), {}, {}, 0)
-        got, consistent = self._check(values, cert, 60, tables_cache)
+        got, consistent = self._check(values, cert, 60, tables_cache, cube_cache)
         assert got and not consistent
 
 
@@ -389,6 +399,84 @@ class TestInduceCandidate:
         assert verify_solution_set(cert, x, covered).passed
         assert not verify_solution_set(cert, x, covered + 1).passed
         assert covered_box(cert, {}) == -1
+
+
+class TestCoveredBoxDifferential:
+    """``covered_box`` against the shell-by-shell ``ref_covered_box``."""
+
+    @staticmethod
+    def _induced(values, oracle_box, tables_cache):
+        ms = new_move_set(values)
+        t = tables_cache(values, 400)
+        cert = detect_cash_period(ms, t, 16, 300)
+        return cert, induce_candidate(ms, t, cert, oracle_box)[0]
+
+    @pytest.mark.parametrize("oracle_box", [20, 60, 120])
+    @pytest.mark.parametrize("values", [(1, 3, 4), (1, 2, 5), (1, 4, 5)])
+    def test_induced_maps(self, values, oracle_box, tables_cache):
+        cert, induced = self._induced(values, oracle_box, tables_cache)
+        assert covered_box(cert, induced) == ref_covered_box(cert, induced) >= 0
+        assert covered_box(cert, {}) == ref_covered_box(cert, {}) == -1
+
+    @pytest.mark.parametrize("values", [(1, 3, 4), (1, 2, 5), (1, 4, 5)])
+    def test_maps_with_one_triple_deleted(self, values, tables_cache):
+        """At shell 0, mid-box, and a triple outside the box that only a box
+        triple's successor reaches; foreign and far-out keys change nothing."""
+        cert, induced = self._induced(values, 60, tables_cache)
+        k = covered_box(cert, induced)
+        assert k >= 4
+        outside = sorted(
+            s for t in induced if max(t.mover_gap, t.opp_gap) <= k
+            for s in (step_cs(cert, t, a) for a in cert.moves)
+            if min(s.mover_gap, s.opp_gap) >= 0 and max(s.mover_gap, s.opp_gap) > k
+        )
+        mid = CSTriple(cert.period - 1, k // 2, k // 3)
+        for gone in (CSTriple(0, 0, 0), mid, outside[0]):
+            states = {t: w for t, w in induced.items() if t != gone}
+            assert len(states) == len(induced) - 1, gone
+            assert covered_box(cert, states) == ref_covered_box(cert, states) < k, gone
+        foreign = {CSTriple(cert.period, 0, 0): Winner.MOVER, CSTriple(0, -1, 2): Winner.MOVER,
+                   CSTriple(0, 10**9, 0): Winner.MOVER}
+        states = {**induced, **foreign}
+        assert covered_box(cert, states) == ref_covered_box(cert, states) == k
+
+
+# move sets read through their recursion tables, and two solved families
+SCAN_SOURCES = [
+    (1, 3, 4), (1, 2, 5), (2, 3), (3, 5, 6, 10, 11), (2, 3, 4), (3, 4, 5, 6), one_l(4), one_l_l1(3),
+]
+
+
+class TestCriticalScan:
+    """``critical_scan`` against ``ref_critical_cells`` layer by layer, with its
+    wins read off the dense cube."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 120])
+    @pytest.mark.parametrize(
+        "source", SCAN_SOURCES,
+        ids=lambda s: ",".join(map(str, s)) if isinstance(s, tuple) else f"family {s.moves}",
+    )
+    def test_matches_reference(self, source, n_max, tables_cache, cube_cache):
+        if isinstance(source, tuple):
+            values, source = source, tables_cache(source, 120)
+        else:
+            values, source = source.moves.values, family_solution(source)
+        got = critical_scan(source, n_max)
+        columns = np.concatenate([
+            np.stack([np.full(d.size, n), d, e, g, h])
+            for n in range(n_max + 1) for d, e, g, h in [ref_critical_cells(source, n)]
+        ], axis=1)
+        assert len(got) == 6
+        for k in range(5):
+            assert got[k].dtype == np.int64 and np.array_equal(got[k], columns[k]), k
+        cube = cube_cache(values, 120).win
+        assert got[5].dtype == bool
+        assert np.array_equal(got[5], cube[got[0], got[1], got[2]])
+        assert (n_max < 120) or got[5].any() and not got[5].all()
+
+    def test_layers_past_the_tables_are_out_of_range(self, tables_cache):
+        with pytest.raises(OutOfRange):
+            critical_scan(tables_cache((1, 3, 4), 120), 121)
 
 
 class TestCriticalWinner:

@@ -30,7 +30,7 @@ from nimcash import (
 )
 from nimcash import cli, oracle
 from nimcash.families import interval_cs_member
-from nimcash.thresholds import critical_cells
+from reference import ref_critical_cells
 
 
 class _CubeBuilt(Exception):
@@ -83,7 +83,7 @@ def _cube_induced(values, tables, period, n_max, win):
     out: dict[CSTriple, Winner] = {}
     consistent = True
     for n in range(n_max + 1):
-        d, e, mover_gap, opp_gap = critical_cells(tables, n)
+        d, e, mover_gap, opp_gap = ref_critical_cells(tables, n)
         for dd, ee, x, y in zip(d.tolist(), e.tolist(), mover_gap.tolist(), opp_gap.tolist()):
             w = Winner.MOVER if win[n, dd, ee] else Winner.OPPONENT
             if out.setdefault(CSTriple(n % period, x, y), w) is not w:
@@ -116,7 +116,7 @@ def test_conjecture_counterexamples_match_the_dense_cube(L, M, cube_cache):
     want = []
     checked = 0
     for n in range(report.critical_n_max + 1):
-        d, e, mover_gap, opp_gap = critical_cells(tables, n)
+        d, e, mover_gap, opp_gap = ref_critical_cells(tables, n)
         checked += d.size
         member = interval_cs_member(L, M, n % (L + M), mover_gap, opp_gap)
         wins = win[n, d, e]

@@ -76,10 +76,24 @@ def test_two_cli_calls_build_the_parser_once(monkeypatch, capsys):
     assert out.count("Player I wins") == 2
 
 
+def _audit_cells(n_max: int, cap: int, a_max: int) -> int:
+    """Cells a clean audit gathers: each head layer ``n < cap`` once, its rows
+    ``x <= n`` over ``min(n + 1 + max(A), cap + 1)`` columns, except that the
+    last ``max(A)`` of them are gathered in full when body layers follow;
+    each body layer ``n >= cap`` once, in full."""
+    side = cap + 1
+    head = min(cap, n_max + 1)
+    full = min(a_max, head) if head <= n_max else 0
+    rows = sum((n + 1) * min(n + 1 + a_max, side) for n in range(head - full))
+    return rows + (full + n_max + 1 - head) * side**2
+
+
 @pytest.mark.parametrize(
     "values, n_max, cap",
-    [((1, 3, 4), 40, 40), ((3, 5, 6, 10, 11), 40, 200), ((3, 5, 6, 10, 11), 40, 7)],
-    ids=["1-3-4 at 40^3", "3-5-6-10-11 at cap 200", "cap below max(A)"],
+    [((1, 3, 4), 40, 40), ((3, 5, 6, 10, 11), 40, 200), ((3, 5, 6, 10, 11), 40, 7),
+     ((1, 3, 4), 300, 300), ((1, 3, 4), 2000, 8), ((1, 2), 30, 0)],
+    ids=["1-3-4 at 40^3", "3-5-6-10-11 at cap 200", "cap below max(A)", "1-3-4 at 300^3",
+         "thin cube", "cap 0"],
 )
 def test_audit_gathers_each_layer_once(monkeypatch, values, n_max, cap):
     table = CashTable(new_move_set(values), n_max, cap)
@@ -93,7 +107,8 @@ def test_audit_gathers_each_layer_once(monkeypatch, values, n_max, cap):
 
     monkeypatch.setattr(np, "take", counted)
     assert table.audit_soundness() == []
-    assert sum(gathered) == (n_max + 1) * (cap + 1) ** 2
+    assert sum(gathered) == _audit_cells(n_max, cap, max(values))
+    assert sum(gathered) <= (n_max + 1) * (cap + 1) ** 2
 
 
 def _counted(solution_set: SolutionSet) -> tuple[SolutionSet, list[int]]:
